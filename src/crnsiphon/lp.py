@@ -1,24 +1,37 @@
 """Exact rational linear-program feasibility with verified outcomes.
 
-The only solver exposed is phase-one simplex over Fractions with Bland's
-anti-cycling rule, so every run terminates and every answer is exact.  A
-feasible system returns a basic feasible point; an infeasible one returns
-a Farkas certificate: multipliers that combine the equality rows into a
-linear form which is zero on free variables, non-positive on the
-variables constrained to be non-negative, yet has a positive right-hand
-side.  Both kinds of answer are re-verified before being returned.
+The only solver exposed is phase-one simplex with Bland's anti-cycling
+rule, so every run terminates and every answer is exact.  It pivots on an
+integer tableau: each row's denominators are cleared once by a positive
+scale, and Edmonds/Bareiss pivots ``(x*piv - f*p) // det`` keep every
+entry an integer, the division always exact, so no Fraction is built
+inside the loop.  Signs and ratios are compared on integers by
+cross-multiplication; the pivot sequence is the one a Fraction tableau
+with the same rule would take.  A feasible system returns a basic
+feasible point; an infeasible one returns a Farkas certificate:
+multipliers that combine the equality rows into a linear form which is
+zero on free variables, non-positive on the variables constrained to be
+non-negative, yet has a positive right-hand side.  Both kinds of answer
+are mapped back to Fractions and re-verified before being returned.
 
 Systems are stated as ``A x = b`` plus per-variable domains: each variable
 is free, constrained ``>= 0``, or pinned to ``0`` (pinning dominates).  An
 optional extra row requires a designated linear form to equal 1, which is
 how strict-positivity questions are asked (scale invariance turns
 "exists x with f(x) > 0" into "exists x with f(x) = 1").
+
+:func:`affine_dim` finds the coordinates that are zero on the whole
+feasible set by witness union: each homogenized probe either shows some
+still-unsettled coordinates positive (and settles every coordinate its
+witness lifts) or proves all the rest zero, so it takes far fewer LPs
+than one probe per coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from crnsiphon.linalg import RationalMatrix, dot, row_reduce
@@ -145,85 +158,113 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
         if j not in system.nonneg:
             col_map.append((j, -1))
     k = len(col_map)
+    ncols = k + m
 
-    # Tableau rows with rhs made non-negative; remember flips so the
-    # certificate can be mapped back to the original row orientation.
-    tab: list[list[Fraction]] = []
+    # Integer rows: each row is multiplied by its rhs sign and a positive
+    # scale clearing its denominators; the artificial column keeps entry 1,
+    # so artificial i stands for scale_i times the artificial of row i.
+    col_signs = [s for _, s in col_map] + [1]
+    tab: list[list[int]] = []
     flips: list[int] = []
+    scales: list[int] = []
     for i in range(m):
         sign = -1 if rhs[i] < 0 else 1
-        row = [sign * coeffs[i][v] * s for v, s in col_map]
-        row.extend(Fraction(1) if t == i else Fraction(0) for t in range(m))
-        row.append(sign * rhs[i])
+        entries = [coeffs[i][v] for v, _ in col_map]
+        entries.append(rhs[i])
+        scale = lcm(*(x.denominator for x in entries))
+        row = [
+            sign * s * x.numerator * (scale // x.denominator) for s, x in zip(col_signs, entries)
+        ]
+        row[k:k] = [1 if t == i else 0 for t in range(m)]
         tab.append(row)
         flips.append(sign)
+        scales.append(scale)
 
-    # Phase-one objective: minimize the sum of the artificial variables.
-    ncols = k + m
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(ncols):
-        obj[j] = (Fraction(1) if j >= k else Fraction(0)) - sum(
-            (tab[i][j] for i in range(m)), Fraction(0)
-        )
-    obj[ncols] = -sum((tab[i][ncols] for i in range(m)), Fraction(0))
+    # Phase-one objective: minimize the sum of the original artificials,
+    # i.e. artificial i at cost 1/scale_i, with the row multiplied by the
+    # common multiple `big` of the scales to stay integral.  A positive
+    # multiple of the objective and positive rescalings of variables leave
+    # every sign and ratio the simplex compares unchanged, so the pivots
+    # are those of the same phase one run on the unscaled rows.
+    big = lcm(*scales)
+    weights = [big // sc for sc in scales]
+    obj = [-sum(w * row[j] for w, row in zip(weights, tab)) for j in range(ncols + 1)]
+    for i in range(m):
+        obj[k + i] += weights[i]
 
+    # Edmonds/Bareiss pivots: the current tableau is tab/det and obj/det,
+    # and every update divides exactly.
+    det = 1
     basis = list(range(k, k + m))
     while True:
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             break
         leave_row = None
-        best = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave_row]):
-                    best = ratio
+                if leave_row is None:
+                    leave_row = i
+                    continue
+                # compare tab[i][rhs]/a with the best ratio (det cancels)
+                lhs = tab[i][ncols] * tab[leave_row][enter]
+                best = tab[leave_row][ncols] * a
+                if lhs < best or (lhs == best and basis[i] < basis[leave_row]):
                     leave_row = i
         if leave_row is None:
             raise AssertionError("phase-one objective is bounded; no leaving row found")
-        piv = tab[leave_row][enter]
-        tab[leave_row] = [x / piv for x in tab[leave_row]]
         prow = tab[leave_row]
+        piv = prow[enter]
         for i in range(m):
-            if i != leave_row and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * p for x, p in zip(tab[i], prow)]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * p for x, p in zip(obj, prow)]
+            if i != leave_row:
+                tab[i] = _bareiss_update(tab[i], prow, enter, piv, det)
+        obj = _bareiss_update(obj, prow, enter, piv, det)
+        det = piv
         basis[leave_row] = enter
 
-    residual = sum((tab[i][ncols] for i in range(m) if basis[i] >= k), Fraction(0))
-
-    if residual == 0:
+    if all(tab[i][ncols] == 0 for i in range(m) if basis[i] >= k):
         x = [Fraction(0)] * system.num_vars
         for i in range(m):
             if basis[i] < k:
                 v, s = col_map[basis[i]]
-                x[v] += s * tab[i][ncols]
+                x[v] += s * Fraction(tab[i][ncols], det)
         witness = tuple(x)
         if not verify_witness(system, witness):
             raise AssertionError("internal error: witness failed exact re-verification")
         return FeasibilityResult(True, witness=witness)
 
-    # Multiplier of internal row i is 1 - (reduced cost of artificial i);
-    # undo the rhs sign flips to express it over the original rows.
-    cert = tuple(flips[i] * (Fraction(1) - obj[k + i]) for i in range(m))
+    # Multiplier of row i is 1 - (reduced cost of its original artificial),
+    # and that reduced cost is scale_i * obj[k+i] / (big * det); the sign
+    # flip returns it to the original row orientation.
+    cert = tuple(
+        flips[i] * (1 - Fraction(scales[i] * obj[k + i], big * det)) for i in range(m)
+    )
     if not verify_certificate(system, cert):
         raise AssertionError("internal error: certificate failed exact re-verification")
     return FeasibilityResult(False, certificate=cert)
 
 
-def _positivity_probe(system: LinearSystem, var: int) -> LinearSystem:
-    """System deciding whether `var` takes a positive value somewhere on the
-    (nonempty) feasible set: homogenize with a ray variable t >= 0 and
-    normalize var = 1."""
+def _bareiss_update(row: list[int], prow: list[int], col: int, piv: int, det: int) -> list[int]:
+    """Row after pivoting on ``prow[col] = piv``: ``(x*piv - f*p) // det``."""
+    f = row[col]
+    if f == 0:
+        if piv == det:
+            return row
+        return [x * piv // det for x in row]
+    return [(x * piv - f * p) // det for x, p in zip(row, prow)]
+
+
+def _homogenized_probe(system: LinearSystem, support: Sequence[int]) -> LinearSystem:
+    """System deciding whether some coordinate in `support` is positive
+    somewhere on the (nonempty) feasible set: homogenize with a ray
+    variable t >= 0 and normalize the sum over `support` to 1."""
     coeffs, rhs = system.all_rows()
     n = system.num_vars
     rows = [(row + (-b,), Fraction(0)) for row, b in zip(coeffs, rhs)]
-    norm = tuple(Fraction(1) if j == var else Fraction(0) for j in range(n)) + (Fraction(0),)
+    norm = [Fraction(0)] * (n + 1)
+    for j in support:
+        norm[j] = Fraction(1)
     return LinearSystem.build(
         n + 1,
         eq_rows=rows,
@@ -236,17 +277,28 @@ def _positivity_probe(system: LinearSystem, var: int) -> LinearSystem:
 def affine_dim(system: LinearSystem) -> int | None:
     """Dimension of the affine hull of the feasible set, or None if empty.
 
-    Sign constraints that hold with equality across the whole set are
-    detected one by one with a positivity probe, then the dimension is a
-    rank computation over the equality rows plus those implicit pins.
+    The sign constraints that hold with equality across the whole set are
+    found by witness union: start from the non-negative coordinates that
+    are zero in a first feasible point; one homogenized probe asks whether
+    any of them is positive somewhere (a probe point with t > 0 scales back
+    into the set, one with t = 0 is a recession direction that lifts its
+    support off zero when added to a point of the set).  A feasible probe
+    clears every coordinate positive in its witness; an infeasible one
+    proves all that remain are zero on the whole set.  The dimension is
+    then a rank computation over the equality rows plus those implicit pins.
     """
-    if not feasible(system).feasible:
+    first = feasible(system)
+    if not first.feasible:
         return None
     n = system.num_vars
     pinned = set(system.zero)
-    for j in sorted(system.nonneg - system.zero):
-        if not feasible(_positivity_probe(system, j)).feasible:
-            pinned.add(j)
+    unsettled = [j for j in sorted(system.nonneg - system.zero) if first.witness[j] == 0]
+    while unsettled:
+        probe = feasible(_homogenized_probe(system, unsettled))
+        if not probe.feasible:
+            pinned.update(unsettled)
+            break
+        unsettled = [j for j in unsettled if probe.witness[j] == 0]
     coeffs, _ = system.all_rows()
     rows = [list(r) for r in coeffs]
     for j in sorted(pinned):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"[0-9]+")
 _MAX_COEFF = 2**31 - 1
 
 
@@ -160,6 +162,17 @@ class ReactionNetwork:
     def product_support(self, reaction_index: int) -> frozenset[int]:
         return self.complexes[self.reactions[reaction_index].target].support
 
+    @cached_property
+    def _connectivity(self) -> ConnectivityInfo:
+        return _complex_graph_connectivity(self)
+
+    @cached_property
+    def distinct_net_changes(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Distinct net change vectors in order of first reaction, as exact
+        rationals (the equality rows of every conservation-law LP)."""
+        gens = dict.fromkeys(stoichiometric_generators(self))
+        return tuple(tuple(Fraction(x) for x in v) for v in gens)
+
     def reaction_text(self, reaction_index: int) -> str:
         r = self.reactions[reaction_index]
         return (
@@ -202,12 +215,11 @@ class _LineTokens:
             elif text.startswith("->", pos):
                 self.tokens.append(("ARROW", "->", col))
                 pos += 2
-            elif ch.isdigit():
-                m = re.match(r"\d+", text[pos:])
+            elif "0" <= ch <= "9":
+                m = _INT_RE.match(text, pos)
                 self.tokens.append(("INT", m.group(0), col))
-                pos += m.end()
-            elif ch.isalpha() or ch == "_":
-                m = _IDENT_RE.match(text, pos)
+                pos = m.end()
+            elif m := _IDENT_RE.match(text, pos):
                 self.tokens.append(("IDENT", m.group(0), col))
                 pos = m.end()
             elif ch in "+;=,":
@@ -385,6 +397,11 @@ def canonical_text(net: ReactionNetwork) -> str:
 
 
 def connectivity(net: ReactionNetwork) -> ConnectivityInfo:
+    """Strong components and linkage classes, computed once per network."""
+    return net._connectivity
+
+
+def _complex_graph_connectivity(net: ReactionNetwork) -> ConnectivityInfo:
     """Strong components (iterative Tarjan) and linkage classes."""
     n = net.num_complexes
     succ: list[list[int]] = [[] for _ in range(n)]

@@ -42,7 +42,6 @@ from crnsiphon.network import (
     ConnectivityInfo,
     ReactionNetwork,
     connectivity,
-    stoichiometric_generators,
 )
 from crnsiphon.siphons import Budget, BudgetExceededError, Siphon, is_siphon, minimal_siphons
 
@@ -91,8 +90,7 @@ def supported_conservation_system(net: ReactionNetwork, members: Iterable[int]) 
     normalized to total mass 1 on Z so the zero law does not qualify."""
     z = sorted(set(members))
     s = net.num_species
-    gens = dict.fromkeys(stoichiometric_generators(net))
-    rows = [(g, 0) for g in gens]
+    rows = [(g, 0) for g in net.distinct_net_changes]
     norm = [Fraction(0)] * s
     for i in z:
         norm[i] = Fraction(1)

@@ -71,6 +71,15 @@ class TestErrors:
         assert code == EXIT_PARSE
         assert "line 1" in err
 
+    @pytest.mark.parametrize("text", ["\u00c5 -> B\n", "A\u00b2 -> B\n"])
+    def test_non_ascii_input_is_a_parse_error(self, tmp_path, text):
+        path = tmp_path / "bad.crn"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = invoke(["parse", str(path)])
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "line 1, column" in err
+
     def test_missing_file(self):
         code, _, _ = invoke(["parse", "/nonexistent/net.crn"])
         assert code == EXIT_USAGE

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from conftest import random_network
+from crnsiphon.linalg import RationalMatrix, row_reduce
 from crnsiphon.lp import (
     LinearSystem,
     affine_dim,
@@ -16,11 +17,87 @@ from crnsiphon.lp import (
 from crnsiphon.relevance import supported_conservation_system
 from crnsiphon.siphons import Siphon
 
+F = Fraction
+
 
 def _simple(num_vars, rows, nonneg=(), zero=(), normalization=None):
     return LinearSystem.build(
         num_vars, eq_rows=rows, nonneg=nonneg, zero=zero, normalization=normalization
     )
+
+
+def _assert_verified(system):
+    """Solve and check the answer with the verifier for its kind."""
+    res = feasible(system)
+    if res.feasible:
+        assert res.certificate is None
+        assert verify_witness(system, res.witness)
+    else:
+        assert res.witness is None
+        assert verify_certificate(system, res.certificate)
+    return res
+
+
+def _reference_feasible(system):
+    """Phase-one simplex on a tableau of Fractions with Bland's rule: the
+    same pivot rule as the kernel, in the plainest arithmetic."""
+    coeffs, rhs = system.all_rows()
+    m = len(coeffs)
+    cols = []
+    for j in range(system.num_vars):
+        if j not in system.zero:
+            cols.append((j, 1))
+            if j not in system.nonneg:
+                cols.append((j, -1))
+    k = len(cols)
+    flips = [-1 if b < 0 else 1 for b in rhs]
+    tab = [
+        [f * row[v] * sg for v, sg in cols] + [Fraction(int(t == i)) for t in range(m)] + [f * b]
+        for i, (row, b, f) in enumerate(zip(coeffs, rhs, flips))
+    ]
+    obj = [int(j >= k) - sum(r[j] for r in tab) for j in range(k + m)] + [0]
+    basis = list(range(k, k + m))
+    while (enter := next((j for j in range(k + m) if obj[j] < 0), None)) is not None:
+        rows = [i for i in range(m) if tab[i][enter] > 0]
+        r = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+        tab[r] = [x / tab[r][enter] for x in tab[r]]
+        for i in range(m):
+            if i != r:
+                tab[i] = [x - tab[i][enter] * p for x, p in zip(tab[i], tab[r])]
+        obj = [x - obj[enter] * p for x, p in zip(obj, tab[r])]
+        basis[r] = enter
+    if all(tab[i][-1] == 0 for i in range(m) if basis[i] >= k):
+        x = [Fraction(0)] * system.num_vars
+        for i in range(m):
+            if basis[i] < k:
+                v, sg = cols[basis[i]]
+                x[v] += sg * tab[i][-1]
+        return tuple(x), None
+    return None, tuple(f * (1 - obj[k + i]) for i, f in enumerate(flips))
+
+
+def _affine_dim_oracle(system):
+    """The per-coordinate definition: one homogenized positivity probe for
+    every non-negative coordinate, then a rank."""
+    if not feasible(system).feasible:
+        return None
+    coeffs, rhs = system.all_rows()
+    n = system.num_vars
+    pinned = set(system.zero)
+    for j in sorted(system.nonneg - system.zero):
+        probe = LinearSystem.build(
+            n + 1,
+            eq_rows=[(row + (-b,), 0) for row, b in zip(coeffs, rhs)],
+            nonneg=tuple(system.nonneg) + (n,),
+            zero=tuple(system.zero),
+            normalization=[int(i == j) for i in range(n + 1)],
+        )
+        if not feasible(probe).feasible:
+            pinned.add(j)
+    rows = [list(r) for r in coeffs] + [[int(i == j) for i in range(n)] for j in sorted(pinned)]
+    if not rows:
+        return n
+    return n - row_reduce(RationalMatrix.from_rows(rows, cols=n)).rank
 
 
 class TestFeasible:
@@ -95,6 +172,85 @@ class TestFeasible:
         assert feasible_count > 0 and infeasible_count > 0
 
 
+class TestRationalKernel:
+    """Systems whose rows need denominators cleared before integer pivots."""
+
+    def test_thirds_and_fifths_with_mixed_signs(self):
+        rows = [([F(1, 3), F(-2, 5), F(3, 5)], F(2, 15)), ([F(-1, 3), F(1, 5), F(2, 3)], F(1, 5))]
+        res = _assert_verified(_simple(3, rows, nonneg=[0, 1, 2]))
+        assert res.feasible
+
+    def test_negative_right_hand_sides(self):
+        rows = [([F(-1, 3), F(-1, 5)], F(-7, 15)), ([F(2, 3), F(-1, 5)], F(-1, 3))]
+        res = _assert_verified(_simple(2, rows, nonneg=[0, 1]))
+        assert res.feasible
+        # both sides negated: the same point solves it
+        flipped = [([-a for a in row], -b) for row, b in rows]
+        assert _assert_verified(_simple(2, flipped, nonneg=[0, 1])).witness == res.witness
+
+    def test_negative_rhs_without_a_non_negative_solution(self):
+        rows = [([F(1, 3), F(2, 5)], F(-1, 7))]
+        res = _assert_verified(_simple(2, rows, nonneg=[0, 1]))
+        assert not res.feasible
+
+    def test_free_and_pinned_variables(self):
+        # x0 free, x1 >= 0, x2 pinned: x0 + x2 = -5/3 forces x0 = -5/3
+        rows = [([F(1), F(0), F(1)], F(-5, 3)), ([F(1, 5), F(1, 3), F(7, 2)], F(0))]
+        res = _assert_verified(_simple(3, rows, nonneg=[1], zero=[2]))
+        assert res.witness == (F(-5, 3), F(1), F(0))
+
+    def test_pinned_variable_makes_rational_system_infeasible(self):
+        rows = [([F(2, 3), F(1, 5)], F(4, 9))]
+        assert _assert_verified(_simple(2, rows, nonneg=[0, 1])).feasible
+        # x0 = 0 forces x1 = 20/9, which the normalization x1 = 1 excludes
+        pinned = _simple(2, rows, nonneg=[1], zero=[0], normalization=[0, 1])
+        assert not _assert_verified(pinned).feasible
+
+    def test_rational_normalization_row(self):
+        rows = [([F(1, 3), F(-1, 3), F(0)], F(0))]
+        norm = [F(1, 5), F(1, 5), F(2, 5)]
+        assert _assert_verified(_simple(3, rows, nonneg=[0, 1, 2], normalization=norm)).feasible
+        # a normalization that is non-positive on the cone cannot equal 1
+        bad = _simple(3, rows, nonneg=[0, 1, 2], normalization=[F(-1, 5), F(-1, 3), F(0)])
+        assert not _assert_verified(bad).feasible
+
+    def test_beale_degenerate_example(self):
+        # Beale's example: the largest-coefficient rule cycles on it.
+        # Written as a feasibility question on its optimal value -1/20.
+        def beale(bound):
+            rows = [
+                ([F(1, 4), -60, F(-1, 25), 9, 1, 0, 0, 0], 0),
+                ([F(1, 2), -90, F(-1, 50), 3, 0, 1, 0, 0], 0),
+                ([0, 0, 1, 0, 0, 0, 1, 0], 1),
+                ([F(-3, 4), 150, F(-1, 50), 6, 0, 0, 0, 1], bound),
+            ]
+            return _simple(8, rows, nonneg=range(8))
+
+        at_optimum = _assert_verified(beale(F(-1, 20)))
+        assert at_optimum.witness[:4] == (F(1, 25), 0, 1, 0)
+        assert not _assert_verified(beale(F(-1, 20) - F(1, 100))).feasible
+
+    def test_same_pivots_as_the_fraction_tableau(self):
+        rng = random.Random(41)
+        kinds = set()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            m = rng.randint(0, 4)
+
+            def q():
+                return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5, 6)))
+
+            rows = [([q() for _ in range(n)], q()) for _ in range(m)]
+            nonneg = [j for j in range(n) if rng.random() < 0.7]
+            zero = [j for j in range(n) if rng.random() < 0.1]
+            norm = [q() for _ in range(n)] if rng.random() < 0.4 else None
+            sys_ = _simple(n, rows, nonneg=nonneg, zero=zero, normalization=norm)
+            res = _assert_verified(sys_)
+            assert (res.witness, res.certificate) == _reference_feasible(sys_)
+            kinds.add(res.feasible)
+        assert kinds == {True, False}
+
+
 class TestAffineDim:
     def test_segment(self):
         assert affine_dim(_simple(2, [([1, 1], 1)], nonneg=[0, 1])) == 1
@@ -133,3 +289,29 @@ class TestAffineDim:
             p = InvariantPolytope.from_network(net, c0)
             expected = net.num_species - conservation_basis(net).dim
             assert face_dimension(p, ()) == expected
+
+    def test_witness_union_matches_per_coordinate_probes(self):
+        rng = random.Random(29)
+        dims = set()
+        for _ in range(240):
+            n = rng.randint(1, 6)
+            m = rng.randint(0, 3)
+            # rhs from a point with some zero coordinates, so that many
+            # systems are feasible with coordinates pinned on the whole set
+            point = [
+                F(rng.randint(0, 3), rng.randint(1, 2)) if rng.random() < 0.6 else F(0)
+                for _ in range(n)
+            ]
+            rows = []
+            for _ in range(m):
+                row = [F(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(n)]
+                b = sum((a * x for a, x in zip(row, point)), F(0))
+                rows.append((row, b if rng.random() < 0.85 else b + 1))
+            nonneg = [j for j in range(n) if rng.random() < 0.8]
+            zero = [j for j in range(n) if rng.random() < 0.1]
+            norm = [F(rng.randint(0, 2)) for _ in range(n)] if rng.random() < 0.2 else None
+            sys_ = _simple(n, rows, nonneg=nonneg, zero=zero, normalization=norm)
+            expected = _affine_dim_oracle(sys_)
+            assert affine_dim(sys_) == expected
+            dims.add(expected)
+        assert None in dims and len(dims) >= 4

@@ -100,6 +100,17 @@ class TestParsing:
         assert exc.value.line == 2
         assert exc.value.column == 3
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [("\u00c5 -> B", 1), ("A\u00b2 -> B", 2), ("1\u0663A -> B", 2)],
+        ids=["non-ascii-letter", "superscript-digit", "non-ascii-digit"],
+    )
+    def test_non_ascii_character_is_a_parse_error(self, text, column):
+        with pytest.raises(ParseError) as exc:
+            parse_network("A -> C\n" + text)
+        assert exc.value.line == 2
+        assert exc.value.column == column
+
 
 class TestValidation:
     def test_isolated_complex_rejected(self):

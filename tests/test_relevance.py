@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import grid_minors_network, grid_symmetries, random_network
+from conftest import RECEPTOR_LIGAND, grid_minors_network, grid_symmetries, random_network
 from crnsiphon.geometry import NotPointedError, build_cone
 from crnsiphon.linalg import conservation_basis, in_row_space
 from crnsiphon.lp import verify_certificate
@@ -268,6 +268,23 @@ class TestAnalyze:
         monkeypatch.setenv("SIPHON_THREADS", "4")
         threaded = analyze(receptor_ligand, c0=OMEGA1)
         assert [a.verdict for a in base.siphons] == [a.verdict for a in threaded.siphons]
+
+    def test_per_network_work_runs_once(self, monkeypatch):
+        import crnsiphon.network as network_module
+
+        calls = {}
+        for name in ("stoichiometric_generators", "_complex_graph_connectivity"):
+
+            def counted(net, _real=getattr(network_module, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(net)
+
+            monkeypatch.setattr(network_module, name, counted)
+        report = analyze(parse_network(RECEPTOR_LIGAND), c0=OMEGA1)
+        assert len(report.siphons) == 3
+        assert calls["_complex_graph_connectivity"] == 1
+        # once for the conservation basis, once for the LP rows of every siphon
+        assert calls["stoichiometric_generators"] == 2
 
     def test_route_disagreement_is_an_internal_error(self, receptor_ligand, monkeypatch):
         import crnsiphon.relevance as relevance_module
