@@ -46,6 +46,7 @@ from crnsiphon.siphons import (
     Siphon,
     brute_force_minimal_siphons,
     is_siphon,
+    minimal_siphon_counts,
     minimal_siphons,
     minimal_siphons_fast,
     minimal_transversals,
@@ -133,6 +134,7 @@ __all__ = [
     "is_relevant",
     "is_relevant_by_facets",
     "is_siphon",
+    "minimal_siphon_counts",
     "minimal_siphons",
     "minimal_siphons_fast",
     "minimal_transversals",

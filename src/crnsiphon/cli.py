@@ -29,6 +29,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,7 +38,7 @@ from crnsiphon.casexport import FLAVORS, export_cas_script
 from crnsiphon.dynamics import MassActionSystem, build_rhs, check_face_invariance
 from crnsiphon.geometry import InvariantPolytope, NotPointedError, build_cone, face_dimension
 from crnsiphon.linalg import conservation_basis
-from crnsiphon.network import ParseError, ReactionNetwork, canonical_text, connectivity, parse_network
+from crnsiphon.network import ParseError, ReactionNetwork, canonical_text, parse_network
 from crnsiphon.relevance import (
     AnalysisReport,
     RouteDisagreementError,
@@ -50,9 +51,8 @@ from crnsiphon.siphons import (
     Budget,
     BudgetExceededError,
     brute_force_minimal_siphons,
-    complex_support_hypergraph,
+    minimal_siphon_counts,
     minimal_siphons,
-    transversal_counts,
 )
 
 __all__ = ["main", "run"]
@@ -440,32 +440,13 @@ def build_arg_parser() -> _Parser:
 def _cmd_siphons(net: ReactionNetwork, args, out) -> int:
     budget = _budget_from(args)
     if args.count_only or args.histogram:
-        conn = connectivity(net)
-        if conn.is_strongly_connected and not args.brute_force and args.method != "search":
-            used = set()
-            for c in net.complexes:
-                used |= c.support
-            unused = net.num_species - len(used)
-            if any(c.is_zero for c in net.complexes):
-                tally_total, by_size = 0, {}
-            else:
-                tally = transversal_counts(complex_support_hypergraph(net), budget)
-                tally_total, by_size = tally.total, dict(tally.by_size)
-            if unused:
-                tally_total += unused
-                by_size[1] = by_size.get(1, 0) + unused
-                by_size = dict(sorted(by_size.items()))
+        if args.brute_force:
+            found = brute_force_minimal_siphons(net)
+            total, by_size = len(found), Counter(len(z.members) for z in found)
         else:
-            found = (
-                brute_force_minimal_siphons(net)
-                if args.brute_force
-                else minimal_siphons(net, budget, method=args.method)
-            )
-            by_size = {}
-            for z in found:
-                by_size[len(z.members)] = by_size.get(len(z.members), 0) + 1
-            tally_total = len(found)
-        print(f"total {tally_total}", file=out)
+            tally = minimal_siphon_counts(net, budget, method=args.method)
+            total, by_size = tally.total, tally.by_size
+        print(f"total {total}", file=out)
         if args.histogram:
             for size in sorted(by_size):
                 print(f"{size} {by_size[size]}", file=out)

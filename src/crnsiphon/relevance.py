@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -328,6 +327,10 @@ def analyze(
     t2 = time.monotonic()
     workers = _thread_count()
     if workers > 1 and len(siphons) > 1:
+        # imported only here: concurrent.futures (with logging and
+        # traceback) adds about 0.6 MB to every process that loads it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             analyses = tuple(pool.map(examine, siphons))
     else:

@@ -15,7 +15,12 @@ live here:
 The transversal enumerator keeps, for every chosen vertex, a non-empty set
 of "private" edges hit by that vertex alone; a branch is extended only
 while that stays true, which makes every emitted set minimal by
-construction and lets counting run without storing results.
+construction.  ``transversal_counts`` counts per size without listing: it
+walks the same tree, but a subtree whose residual state (uncovered edges,
+live candidates, the private edges still at risk) was counted before is
+not walked again; its tally is taken from a table of fixed size, cleared
+when full, so memory does not grow with the number of results.
+``minimal_siphon_counts`` applies it to networks.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "brute_force_minimal_siphons",
     "minimal_siphons",
     "minimal_siphons_fast",
+    "minimal_siphon_counts",
     "minimal_transversals",
     "transversal_counts",
     "complex_support_hypergraph",
@@ -134,8 +140,8 @@ class _BudgetClock:
         self.emitted = 0
         self.ticks = 0
 
-    def note_result(self):
-        self.emitted += 1
+    def note_result(self, n: int = 1):
+        self.emitted += n
         if self.max_results is not None and self.emitted > self.max_results:
             raise _BudgetSignal("result limit exceeded")
 
@@ -173,6 +179,18 @@ class TransversalTally:
     by_size: dict[int, int] = field(default_factory=dict)
 
 
+def _edges_at(num_vertices: int, edge_vertex_masks: list[int]) -> list[int]:
+    """``edges_at[v]``: edge-id mask of the edges containing vertex v."""
+    edges_at = [0] * num_vertices
+    for eid, vmask in enumerate(edge_vertex_masks):
+        rest = vmask
+        while rest:
+            low = rest & -rest
+            edges_at[low.bit_length() - 1] |= 1 << eid
+            rest &= rest - 1
+    return edges_at
+
+
 def _dualize(
     num_vertices: int,
     edge_vertex_masks: list[int],
@@ -191,14 +209,7 @@ def _dualize(
     if m == 0:
         emit([])
         return
-    # edges_at[v]: edge-id mask of edges containing vertex v
-    edges_at = [0] * num_vertices
-    for eid, vmask in enumerate(edge_vertex_masks):
-        rest = vmask
-        while rest:
-            low = rest & -rest
-            edges_at[low.bit_length() - 1] |= 1 << eid
-            rest &= rest - 1
+    edges_at = _edges_at(num_vertices, edge_vertex_masks)
 
     chosen: list[int] = []
     crit: dict[int, int] = {}  # chosen vertex -> edge-id mask of its private edges
@@ -267,34 +278,280 @@ def _dualize(
     rec((1 << m) - 1, (1 << num_vertices) - 1, 0)
 
 
-def _run_dualizer(h: Hypergraph, budget: Budget | None, emit, partial_factory):
-    clock = _BudgetClock(budget)
-    masks = [sum(1 << v for v in e) for e in h.edges]
-    try:
-        _dualize(h.num_vertices, masks, emit, clock)
-    except _BudgetSignal as sig:
-        raise BudgetExceededError(str(sig), partial_factory()) from None
+def _edge_masks(h: Hypergraph) -> list[int]:
+    return [sum(1 << v for v in e) for e in h.edges]
 
 
 def minimal_transversals(h: Hypergraph, budget: Budget | None = None) -> list[frozenset[int]]:
     """All minimal hitting sets, sorted by (size, members)."""
     out: list[frozenset[int]] = []
-    _run_dualizer(h, budget, lambda chosen: out.append(frozenset(chosen)), lambda: list(out))
+    try:
+        _dualize(
+            h.num_vertices, _edge_masks(h), lambda chosen: out.append(frozenset(chosen)),
+            _BudgetClock(budget),
+        )
+    except _BudgetSignal as sig:
+        raise BudgetExceededError(str(sig), list(out)) from None
     out.sort(key=lambda t: (len(t), sorted(t)))
     return out
 
 
+# Residual states whose subtree tallies are kept for reuse.  The table is
+# cleared when it reaches this many entries, so the memory of a count does
+# not grow with the number of results.
+_COUNT_MEMO_LIMIT = 1 << 15
+
+
+def _count_dualize(
+    num_vertices: int,
+    edge_vertex_masks: list[int],
+    clock: _BudgetClock,
+    tallies: list[tuple[int, dict[int, int]]],
+) -> None:
+    """Count the minimal hitting sets of the given edges per size.
+
+    The MMCS walk of ``_dualize`` without emitting, on an explicit stack so
+    that depth is not bounded by the interpreter's recursion limit.  The
+    transversals below a node are those of the residual problem: cover the
+    uncovered edges from the candidates while no chosen vertex loses its
+    last private edge.  That problem is fixed by the *residual state*: the
+    uncovered edges, the live candidates (those in some uncovered edge) and
+    the private-edge masks of the chosen vertices the live candidates could
+    still strip of every private edge; a chosen vertex with a private edge
+    that no live candidate meets can never lose it, and drops out of the
+    state for good.  Equal states have equal per-size tallies shifted by the
+    depth, so each branching node looks its state up in a bounded table and
+    reuses the tally of an earlier subtree.  Forced nodes (one candidate on
+    the branching edge) are not memoized, and the leaves below a node with
+    one uncovered edge left are counted directly.  Which edge a node
+    branches on decides only the speed: the transversals below a node are
+    the same whichever uncovered edge splits them.
+
+    ``tallies`` holds one ``(depth, per-size tally relative to depth)`` pair
+    for the root and for every open memoized node; their shifted sum is the
+    count so far, which is what a budget overrun reports.
+    """
+    masks = edge_vertex_masks
+    m = len(masks)
+    if m == 0:
+        tallies[0][1][0] = 1
+        return
+    edges_at = _edges_at(num_vertices, masks)
+    by_size: dict[int, int] = {}
+    for eid, vmask in enumerate(masks):
+        k = vmask.bit_count()
+        by_size[k] = by_size.get(k, 0) | 1 << eid
+    size_classes = sorted(by_size.items())
+
+    crit: dict[int, int] = {}  # chosen vertex -> edge-id mask of its private edges
+    owner: dict[int, int] = {}  # edge bit -> owning vertex (stale entries unread)
+    memo: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+    tick = clock.tick
+    note_result = clock.note_result
+    stack: list[list] = []
+
+    def visit(uncov, cand, touched, live, critical, depth, relevant) -> bool:
+        """Expand a node with an uncovered edge; True if it pushed a frame.
+
+        ``touched``: a superset of the edges that meet a vertex outside
+        ``cand``.  An uncovered edge outside it keeps all its vertices as
+        candidates, so only touched edges need a scan.  ``live``: vertices
+        in some uncovered edge.  ``critical``: the union of the private
+        edges.
+        """
+        tick()
+        # Pick an edge with the fewest candidates; one with none kills the
+        # branch, one with a single candidate is forced.
+        best_count = 0
+        best_edge = 0
+        rest = uncov & touched
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = (masks[low.bit_length() - 1] & cand).bit_count()
+            if c == 0:
+                return False
+            if best_count == 0 or c < best_count:
+                best_count, best_edge = c, low
+                if c == 1:
+                    break
+        if best_count != 1:
+            rest = uncov & ~touched
+            for k, cls in size_classes:
+                if best_count and k >= best_count:
+                    break
+                if rest & cls:
+                    low = rest & cls
+                    best_count, best_edge = k, low & -low
+                    break
+        inter = masks[best_edge.bit_length() - 1] & cand
+        if uncov == best_edge:
+            # the last uncovered edge: every child is a leaf, and counting
+            # them is cheaper than a table entry
+            found = 0
+            rest = inter
+            while rest:
+                vbit = rest & -rest
+                rest ^= vbit
+                if stays_minimal(edges_at[vbit.bit_length() - 1], critical):
+                    tick()
+                    found += 1
+            if found:
+                base, acc = tallies[-1]
+                acc[depth + 1 - base] = acc.get(depth + 1 - base, 0) + found
+                note_result(found)
+            return False
+        key = None
+        if best_count > 1:
+            live_cand = cand & live
+            kept = []
+            for u in relevant:
+                rest = crit[u]
+                while rest:
+                    low = rest & -rest
+                    if not masks[low.bit_length() - 1] & live_cand:
+                        break
+                    rest ^= low
+                else:
+                    kept.append(u)
+            relevant = tuple(kept)
+            key = (uncov, live_cand, *sorted([crit[u] for u in relevant]))
+            hit = memo.get(key)
+            if hit is not None:
+                base, acc = tallies[-1]
+                shift = depth - base
+                found = 0
+                for k, c in hit:
+                    acc[k + shift] = acc.get(k + shift, 0) + c
+                    found += c
+                note_result(found)
+                return False
+            tallies.append((depth, {}))
+        # each child leaves the branching vertices after its own out of its
+        # candidates; all of them is a superset
+        verts = []
+        rest = inter
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            verts.append(v)
+            touched |= edges_at[v]
+        stack.append(
+            [uncov, cand & ~inter, live, critical, depth, relevant, verts, touched, 0, key, None]
+        )
+        return True
+
+    def stays_minimal(steal: int, critical: int) -> bool:
+        """No chosen vertex has all its private edges in ``steal``."""
+        rest = steal & critical
+        while rest:
+            low = rest & -rest
+            private = crit[owner[low]]
+            if not private & ~steal:
+                return False
+            rest &= ~private
+        return True
+
+    all_vertices = 0
+    for vmask in masks:
+        all_vertices |= vmask
+    visit((1 << m) - 1, (1 << num_vertices) - 1, 0, all_vertices, 0, 0, ())
+    while stack:
+        frame = stack[-1]
+        uncov, cand, live, critical, depth, relevant, verts, touched, i, key, undo = frame
+        if undo is not None:
+            v, saved = undo
+            del crit[v]
+            for u, private in saved:
+                crit[u] = private
+        base, acc = tallies[-1]
+        n = len(verts)
+        while i < n:
+            v = verts[i]
+            child_cand = cand
+            cand |= 1 << v
+            i += 1
+            steal = edges_at[v]
+            if not stays_minimal(steal, critical):
+                continue
+            child_uncov = uncov & ~steal
+            if not child_uncov:
+                tick()
+                acc[depth + 1 - base] = acc.get(depth + 1 - base, 0) + 1
+                note_result()
+                continue
+            saved = []
+            rest = steal & critical
+            while rest:
+                low = rest & -rest
+                u = owner[low]
+                private = crit[u]
+                saved.append((u, private))
+                crit[u] = private & ~steal
+                rest &= ~private
+            covered = uncov & steal
+            crit[v] = covered
+            rest = covered
+            freed = 0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                owner[low] = v
+                freed |= masks[low.bit_length() - 1]
+            child_live = live
+            rest = freed & live
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not edges_at[low.bit_length() - 1] & child_uncov:
+                    child_live ^= low
+            if visit(
+                child_uncov, child_cand, touched, child_live,
+                (critical & ~steal) | covered, depth + 1, relevant + (v,),
+            ):
+                frame[1] = cand
+                frame[8] = i
+                frame[10] = (v, saved)
+                break
+            del crit[v]
+            for u, private in saved:
+                crit[u] = private
+        else:
+            stack.pop()
+            if key is not None:
+                tallies.pop()
+                if len(memo) >= _COUNT_MEMO_LIMIT:
+                    memo.clear()
+                memo[key] = tuple(acc.items())
+                parent_base, parent_acc = tallies[-1]
+                shift = depth - parent_base
+                for k, c in acc.items():
+                    parent_acc[k + shift] = parent_acc.get(k + shift, 0) + c
+
+
+def _shifted_sum(tallies: list[tuple[int, dict[int, int]]]) -> TransversalTally:
+    by_size: dict[int, int] = {}
+    for base, acc in tallies:
+        for k, c in acc.items():
+            by_size[base + k] = by_size.get(base + k, 0) + c
+    return TransversalTally(sum(by_size.values()), dict(sorted(by_size.items())))
+
+
 def transversal_counts(h: Hypergraph, budget: Budget | None = None) -> TransversalTally:
-    """Count minimal hitting sets per size without storing them."""
-    tally: Counter[int] = Counter()
+    """Count minimal hitting sets per size without listing them.
 
-    def emit(chosen: list[int]) -> None:
-        tally[len(chosen)] += 1
-
-    _run_dualizer(
-        h, budget, emit, lambda: TransversalTally(sum(tally.values()), dict(sorted(tally.items())))
-    )
-    return TransversalTally(sum(tally.values()), dict(sorted(tally.items())))
+    Subtrees with equal residual states are counted once (see
+    ``_count_dualize``).  Budget ticks are expanded nodes, and the result
+    limit counts the transversals of a reused subtree too; an overrun's
+    partial tally holds every transversal counted so far.
+    """
+    tallies: list[tuple[int, dict[int, int]]] = [(0, {})]
+    try:
+        _count_dualize(h.num_vertices, _edge_masks(h), _BudgetClock(budget), tallies)
+    except _BudgetSignal as sig:
+        raise BudgetExceededError(str(sig), _shifted_sum(tallies)) from None
+    return _shifted_sum(tallies)
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +585,7 @@ def _mask_to_siphon(mask: int) -> Siphon:
 
 
 def _sorted_siphons(masks: Iterable[int]) -> list[Siphon]:
-    return [
-        _mask_to_siphon(m) for m in sorted(masks, key=lambda z: (z.bit_count(), _bits_tuple(z)))
-    ]
-
-
-def _bits_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)
+    return sorted(map(_mask_to_siphon, masks), key=lambda z: (len(z.members), z.members))
 
 
 def brute_force_minimal_siphons(net: ReactionNetwork) -> list[Siphon]:
@@ -410,13 +656,15 @@ def complex_support_hypergraph(net: ReactionNetwork) -> Hypergraph:
     return Hypergraph(net.num_species, tuple(dict.fromkeys(supports)))
 
 
-def minimal_siphons_fast(net: ReactionNetwork, budget: Budget | None = None) -> list[Siphon]:
-    """Minimal siphons via complex-support transversals.
+def _transversal_route(net: ReactionNetwork) -> tuple[list[Siphon], Hypergraph | None]:
+    """Split the minimal siphons of a strongly connected network.
 
-    Valid only for strongly connected networks, where a set of *occurring*
-    species is a siphon exactly when it meets the support of every complex.
-    A species appearing in no complex is produced by nothing, so it is a
-    minimal siphon on its own and is handled separately.
+    There a set of *occurring* species is a siphon exactly when it meets the
+    support of every complex.  A species appearing in no complex is produced
+    by nothing, so it is a minimal siphon on its own; those singletons come
+    first.  The rest are the minimal transversals of the returned
+    hypergraph, or none at all (``None``) when the empty support of a zero
+    complex cannot be hit.
     """
     if not connectivity(net).is_strongly_connected:
         raise ValueError("the transversal route requires a strongly connected network")
@@ -425,9 +673,18 @@ def minimal_siphons_fast(net: ReactionNetwork, budget: Budget | None = None) -> 
         used |= c.support
     singletons = [Siphon((i,)) for i in range(net.num_species) if i not in used]
     if any(c.is_zero for c in net.complexes):
-        # the empty support cannot be hit, so no occurring-species siphons
-        return sorted(singletons)
-    h = complex_support_hypergraph(net)
+        return singletons, None
+    return singletons, complex_support_hypergraph(net)
+
+
+def minimal_siphons_fast(net: ReactionNetwork, budget: Budget | None = None) -> list[Siphon]:
+    """Minimal siphons via complex-support transversals.
+
+    Valid only for strongly connected networks (see ``_transversal_route``).
+    """
+    singletons, h = _transversal_route(net)
+    if h is None:
+        return singletons
     try:
         transversals = minimal_transversals(h, budget)
     except BudgetExceededError as exc:
@@ -438,6 +695,40 @@ def minimal_siphons_fast(net: ReactionNetwork, budget: Budget | None = None) -> 
         raise BudgetExceededError(str(exc), partial) from None
     found = singletons + [Siphon(tuple(sorted(t))) for t in transversals]
     return sorted(found, key=lambda z: (len(z.members), z.members))
+
+
+def minimal_siphon_counts(
+    net: ReactionNetwork, budget: Budget | None = None, method: str = "auto"
+) -> TransversalTally:
+    """Minimal siphons counted per size, by the routes of ``minimal_siphons``.
+
+    The transversal route counts without listing (``transversal_counts``);
+    the search route lists the siphons and tallies them.  A budget overrun
+    carries the partial tally.
+    """
+    if method not in ("auto", "search", "transversal"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "search" or (
+        method == "auto" and not connectivity(net).is_strongly_connected
+    ):
+        found = minimal_siphons(net, budget, method="search")
+        by_size = Counter(len(z.members) for z in found)
+        return TransversalTally(len(found), dict(sorted(by_size.items())))
+    singletons, h = _transversal_route(net)
+    try:
+        tally = transversal_counts(h, budget) if h is not None else TransversalTally(0, {})
+    except BudgetExceededError as exc:
+        partial = _plus_singletons(exc.partial, len(singletons))
+        raise BudgetExceededError(str(exc), partial) from None
+    return _plus_singletons(tally, len(singletons))
+
+
+def _plus_singletons(tally: TransversalTally, n: int) -> TransversalTally:
+    if not n:
+        return tally
+    by_size = dict(tally.by_size)
+    by_size[1] = by_size.get(1, 0) + n
+    return TransversalTally(tally.total + n, dict(sorted(by_size.items())))
 
 
 def minimal_siphons(

@@ -55,11 +55,22 @@ class TestSiphonsCommand:
         assert fast == brute
 
     def test_budget_exit_code(self, tmp_path):
-        lines = [f"c{i} + c{i+1} <-> c{i+1} + c{i+2}" for i in range(1, 34)]
+        # a 2,000-species chain: the count runs for well over 20 ms, and
+        # past several of the clock's checks, on any host
+        lines = [f"c{i} + c{i+1} <-> c{i+1} + c{i+2}" for i in range(1, 1999)]
         path = tmp_path / "chain.crn"
         path.write_text("\n".join(lines))
         code, _, err = invoke(["siphons", "--count-only", "--budget-ms", "20", str(path)])
         assert code == EXIT_BUDGET
+        assert "budget" in err
+
+    def test_count_result_limit_exit_code(self, tmp_path):
+        lines = [f"c{i} + c{i+1} <-> c{i+1} + c{i+2}" for i in range(1, 34)]
+        path = tmp_path / "chain.crn"
+        path.write_text("\n".join(lines))
+        code, out, err = invoke(["siphons", "--count-only", "--max-results", "5", str(path)])
+        assert code == EXIT_BUDGET
+        assert out == ""
         assert "budget" in err
 
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import chain_network, random_network
+from conftest import chain_network, grid_minors_network, random_network
 from crnsiphon.network import (
     Complex,
     ReactionNetwork,
@@ -23,6 +23,7 @@ from crnsiphon.siphons import (
     brute_force_minimal_siphons,
     complex_support_hypergraph,
     is_siphon,
+    minimal_siphon_counts,
     minimal_siphons,
     minimal_siphons_fast,
     minimal_transversals,
@@ -265,6 +266,173 @@ class TestTransversals:
         h = complex_support_hypergraph(chain_network(25))
         with pytest.raises(BudgetExceededError):
             transversal_counts(h, Budget(max_results=10))
+
+
+def size_tally(transversals) -> dict[int, int]:
+    sizes: dict[int, int] = {}
+    for t in transversals:
+        sizes[len(t)] = sizes.get(len(t), 0) + 1
+    return dict(sorted(sizes.items()))
+
+
+def cycle(n: int, offset: int = 0) -> list[frozenset[int]]:
+    return [frozenset({offset + i, offset + (i + 1) % n}) for i in range(n)]
+
+
+def grid_graph(rows: int, cols: int, offset: int = 0) -> list[frozenset[int]]:
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = offset + r * cols + c
+            if c + 1 < cols:
+                edges.append(frozenset({v, v + 1}))
+            if r + 1 < rows:
+                edges.append(frozenset({v, v + cols}))
+    return edges
+
+
+def path_cover_histogram(s: int) -> dict[int, int]:
+    """Per-size counts of the minimal vertex covers of the path on s vertices.
+
+    A cover's complement is a maximal independent set: its first vertex is
+    0 or 1, consecutive members are 2 or 3 apart, and its last vertex is
+    s - 1 or s - 2.  ``ends[p]`` tallies such sets ending at p by size.
+    """
+    ends: list[dict[int, int]] = [{1: 1}, {1: 1}]
+    for p in range(2, s):
+        row: dict[int, int] = {}
+        for q in (p - 2, p - 3):
+            if q >= 0:
+                for k, c in ends[q].items():
+                    row[k + 1] = row.get(k + 1, 0) + c
+        ends.append(row)
+    covers: dict[int, int] = {}
+    for row in (ends[s - 1], ends[s - 2]):
+        for k, c in row.items():
+            covers[s - k] = covers.get(s - k, 0) + c
+    return dict(sorted(covers.items()))
+
+
+@pytest.fixture(scope="module")
+def chain2100():
+    return complex_support_hypergraph(chain_network(2100))
+
+
+class TestTransversalCounts:
+    """The memoized count against the listing dualizer and closed forms."""
+
+    def assert_counts_match(self, h: Hypergraph) -> None:
+        listed = minimal_transversals(h)
+        tally = transversal_counts(h)
+        assert tally.total == len(listed)
+        assert tally.by_size == size_tally(listed)
+
+    def test_cycles(self):
+        for n in range(3, 15):
+            self.assert_counts_match(Hypergraph(n, tuple(cycle(n))))
+
+    def test_grid_graph_vertex_covers(self):
+        for rows, cols in [(2, 2), (2, 5), (3, 3), (3, 4), (4, 4), (3, 6)]:
+            self.assert_counts_match(Hypergraph(rows * cols, tuple(grid_graph(rows, cols))))
+
+    def test_grid_minors_hypergraph(self):
+        h = complex_support_hypergraph(grid_minors_network(6))
+        self.assert_counts_match(h)
+        assert transversal_counts(h).total == 1764
+
+    def test_disjoint_unions(self):
+        edges = cycle(5) + grid_graph(3, 3, offset=5) + cycle(7, offset=14)
+        edges += grid_graph(2, 4, offset=21)
+        self.assert_counts_match(Hypergraph(29, tuple(edges)))
+        # two copies of one cycle: the states after covering the first recur
+        self.assert_counts_match(Hypergraph(12, tuple(cycle(6) + cycle(6, offset=6))))
+
+    def test_random_hypergraphs(self):
+        rng = random.Random(404)
+        for _ in range(60):
+            n = rng.randint(10, 16)
+            edges = set()
+            for _ in range(rng.randint(4, 22)):
+                edges.add(frozenset(rng.sample(range(n), rng.randint(1, 5))))
+            self.assert_counts_match(Hypergraph(n, tuple(sorted(edges, key=sorted))))
+
+    def test_table_cleared_when_full(self, monkeypatch):
+        import crnsiphon.siphons as siphons
+
+        monkeypatch.setattr(siphons, "_COUNT_MEMO_LIMIT", 3)
+        self.assert_counts_match(complex_support_hypergraph(grid_minors_network(5)))
+        self.assert_counts_match(Hypergraph(16, tuple(grid_graph(4, 4))))
+
+    def test_chain_counts_follow_the_recursion(self):
+        # N(s) = N(s-2) + N(s-3) with N(2) = N(3) = 2, N(4) = 3
+        expected = {2: 2, 3: 2, 4: 3}
+        for s in range(5, 201):
+            expected[s] = expected[s - 2] + expected[s - 3]
+        for s in range(3, 201):
+            tally = transversal_counts(complex_support_hypergraph(chain_network(s)))
+            assert tally.total == expected[s], s
+            assert tally.by_size == path_cover_histogram(s), s
+
+    def test_long_chain_needs_no_recursion(self, chain2100):
+        # the search is deeper than the interpreter's default recursion limit
+        n = {2: 2, 3: 2, 4: 3}
+        for s in range(5, 2101):
+            n[s] = n[s - 2] + n[s - 3]
+        tally = transversal_counts(chain2100)
+        assert tally.total == n[2100]
+        assert tally.by_size == path_cover_histogram(2100)
+
+    def test_result_limit_counts_reused_subtrees(self):
+        h = complex_support_hypergraph(chain_network(44))
+        full = transversal_counts(h)
+        for k in (1, 10, 1000, 100_000):
+            with pytest.raises(BudgetExceededError) as exc:
+                transversal_counts(h, Budget(max_results=k))
+            partial = exc.value.partial
+            assert partial.total > k
+            assert partial.total == sum(partial.by_size.values())
+            assert all(c <= full.by_size[size] for size, c in partial.by_size.items())
+
+    def test_time_limit(self, chain2100):
+        with pytest.raises(BudgetExceededError) as exc:
+            transversal_counts(chain2100, Budget(max_ms=0))
+        assert exc.value.partial.total < transversal_counts(chain2100).total
+
+
+class TestMinimalSiphonCounts:
+    def test_counts_match_the_listing(self):
+        rng = random.Random(91)
+        routes = set()
+        for _ in range(150):
+            net = random_network(rng, max_species=8)
+            strongly = connectivity(net).is_strongly_connected
+            routes.add(strongly)
+            methods = ["auto", "search"] + (["transversal"] if strongly else [])
+            for method in methods:
+                found = minimal_siphons(net, method=method)
+                tally = minimal_siphon_counts(net, method=method)
+                assert tally.total == len(found)
+                assert tally.by_size == size_tally(z.members for z in found)
+        assert routes == {True, False}
+
+    def test_unused_species_and_zero_complex(self):
+        net = parse_network("species X, A, B, Y\nA <-> B\n")
+        assert minimal_siphon_counts(net).by_size == {1: 2, 2: 1}
+        net = parse_network("species A, B, C, D\nA + B <-> C\nC <-> 0\n")
+        tally = minimal_siphon_counts(net)
+        assert tally.total == 1 and tally.by_size == {1: 1}
+
+    def test_transversal_route_requires_strong_connectivity(self, futile_cycle):
+        with pytest.raises(ValueError, match="strongly connected"):
+            minimal_siphon_counts(futile_cycle, method="transversal")
+
+    def test_budget_partial_includes_singletons(self):
+        lines = [f"c{i} + c{i+1} <-> c{i+1} + c{i+2}" for i in range(1, 29)]
+        net = parse_network("species u\n" + "\n".join(lines))
+        with pytest.raises(BudgetExceededError) as exc:
+            minimal_siphon_counts(net, Budget(max_results=3))
+        assert exc.value.partial.by_size[1] == 1
+        assert exc.value.partial.total > 3
 
 
 class TestGridNetworks:
