@@ -48,7 +48,6 @@ from crnsiphon.siphons import (
     is_siphon,
     minimal_siphon_counts,
     minimal_siphons,
-    minimal_siphons_fast,
     minimal_transversals,
     siphon_violation,
     transversal_counts,
@@ -136,7 +135,6 @@ __all__ = [
     "is_siphon",
     "minimal_siphon_counts",
     "minimal_siphons",
-    "minimal_siphons_fast",
     "minimal_transversals",
     "nullspace_basis",
     "omega_relevant",

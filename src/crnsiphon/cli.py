@@ -16,8 +16,7 @@ Subcommands::
 Exit codes: 0 success, 1 usage, 2 parse error, 3 budget exceeded,
 4 internal invariant violation.
 
-Environment: ``SIPHON_BUDGET_MS`` default time budget for enumerations,
-``SIPHON_THREADS`` worker count for per-siphon analysis.
+Environment: ``SIPHON_BUDGET_MS`` default time budget for enumerations.
 
 Exact values only: rationals are written like ``3`` or ``1/10``; decimal
 points are rejected.

@@ -5,17 +5,21 @@ space), the attainable conserved quantities form the cone generated by
 the columns of A.  Everything downstream is combinatorial data about that
 cone and about the polytopes ``{x >= 0 : A x = A c0}``:
 
-* facets of the cone, each carrying an exactly verified inner normal;
+* facets of the cone, each carrying an exact inner normal;
 * vertex supports of an invariant polytope (its combinatorial type);
 * emptiness / dimension of faces ``{x in polytope : x_Z = 0}``;
 * a chamber signature: two positive initial conditions are in the same
   chamber exactly when their polytopes have the same vertex supports.
 
-Facets are enumerated by brute force over generator subsets of rank
-dim-1, vertices by basic-solution enumeration; both stay exact and are
-intended for the dozens-of-species scale.  Relevance queries that only
-need face emptiness should use :func:`face_nonempty`, which is a single
-small LP and does not enumerate anything.
+Facets and vertices come from one exact double-description routine,
+:func:`_extreme_rays`, which lists the extreme rays of a cone
+``{z >= 0 : E z = 0}`` as primitive integer vectors.  The facets are the
+extreme non-negative conservation laws (the dual cone's extreme rays, the
+law's zero set naming the generators on the facet); the vertices are the
+extreme rays with ``t > 0`` of ``{(x, t) >= 0 : A x = t A c0}``.
+Relevance queries that only need face emptiness should use
+:func:`face_nonempty`, which is a single small LP and does not enumerate
+anything.
 """
 
 from __future__ import annotations
@@ -23,14 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 from crnsiphon.linalg import (
     RationalMatrix,
     SubspaceBasis,
     conservation_basis,
-    dot,
     normalize_integer_vector,
     nullspace_basis,
     row_reduce,
@@ -45,7 +48,6 @@ __all__ = [
     "NotPointedError",
     "build_cone",
     "cone_facets",
-    "cone_is_pointed",
     "vertex_supports",
     "face_nonempty",
     "face_dimension",
@@ -62,7 +64,7 @@ class NotPointedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Facet:
-    """A facet as its generator incidence set plus a verified inner normal."""
+    """A facet as its generator incidence set plus an exact inner normal."""
 
     members: tuple[int, ...]  # generator indices lying on the facet
     normal: Vec  # integer vector v with <v, a_i> = 0 on members, > 0 off
@@ -91,58 +93,113 @@ class ConeQ:
         return self.dim > 0
 
 
-def _pointedness_system(a: RationalMatrix) -> LinearSystem:
-    # exists v with <v, a_i> >= 1 for every generator column a_i; by
-    # scaling this is the same as all inner products being positive.
-    d, s = a.rows, a.cols
-    rows = []
-    for i in range(s):
-        row = [a.entries[r][i] for r in range(d)]
-        row.extend(Fraction(-1) if j == i else Fraction(0) for j in range(s))
-        rows.append((row, Fraction(1)))
-    return LinearSystem.build(d + s, eq_rows=rows, nonneg=range(d, d + s))
+def _zero_mask(ray: Sequence[int]) -> int:
+    return sum(1 << i for i, x in enumerate(ray) if not x)
 
 
-def _enumerate_facets(a: RationalMatrix) -> tuple[Facet, ...]:
-    d, s = a.rows, a.cols
-    cols = [a.column(i) for i in range(s)]
-    facets: dict[tuple[int, ...], Facet] = {}
-    for subset in combinations(range(s), d - 1):
-        sub = RationalMatrix.from_rows([cols[i] for i in subset], cols=d)
-        kernel = nullspace_basis(sub)
-        if kernel.rows != 1:
-            continue
-        normal = kernel.row(0)
-        values = [dot(normal, c) for c in cols]
-        if all(v <= 0 for v in values):
-            normal = tuple(-x for x in normal)
-            values = [-v for v in values]
-        elif not all(v >= 0 for v in values):
-            continue
-        members = tuple(i for i, v in enumerate(values) if v == 0)
-        if members not in facets:
-            facets[members] = Facet(members, normalize_integer_vector(normal, fix_sign=False))
-    return tuple(facets[key] for key in sorted(facets))
+def _adjacent(common: int, pair: int, rays_zero_at: dict[int, int], every: int) -> bool:
+    # the rays vanishing wherever both rays of `pair` vanish, narrowed one
+    # common zero coordinate at a time; adjacent when only the pair is left
+    left = every
+    while common:
+        low = common & -common
+        left &= rays_zero_at[low.bit_length() - 1]
+        if left == pair:
+            return True
+        common ^= low
+    return left == pair
 
 
-def cone_is_pointed(basis: SubspaceBasis) -> bool:
-    """Whether some linear functional is strictly positive on every
-    generator column (vacuously true with no conservation laws)."""
-    if basis.matrix.rows == 0:
-        return True
-    return feasible(_pointedness_system(basis.matrix)).feasible
+def _extreme_rays(e: RationalMatrix) -> list[tuple[int, ...]]:
+    """Primitive integer extreme rays of the cone ``{z >= 0 : e z = 0}``.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996).  The
+    kernel of ``e`` is parametrized by the free columns of its RREF, so the
+    cone cut out by ``z_free >= 0`` is generated by one kernel vector per
+    free column and has no lineality space.  The pivot coordinates' bounds
+    ``z_p >= 0`` are then added one at a time, in column order (ordering
+    them by the number of positive-negative pairs measured no faster): rays
+    with ``z_p >= 0`` stay, and each adjacent positive-negative pair is
+    combined into a ray with ``z_p = 0``.  Two rays are adjacent when at
+    least k - 2 of the bounds added so far vanish on both (k the kernel
+    dimension) and no third ray vanishes on all of those; zero sets are int
+    bitmasks over the coordinates.
+    """
+    red = row_reduce(e)
+    pivot_set = set(red.pivot_cols)
+    free = [c for c in range(e.cols) if c not in pivot_set]
+    k = len(free)
+    rays = []
+    for f in free:
+        vec = [Fraction(0)] * e.cols
+        vec[f] = Fraction(1)
+        for i, pc in enumerate(red.pivot_cols):
+            vec[pc] = -red.rref.entries[i][f]
+        rays.append(tuple(int(x) for x in normalize_integer_vector(vec, fix_sign=False)))
+    zeros = [_zero_mask(r) for r in rays]
+    added = sum(1 << f for f in free)
+    for p in red.pivot_cols:
+        pos = [i for i, r in enumerate(rays) if r[p] > 0]
+        neg = [i for i, r in enumerate(rays) if r[p] < 0]
+        kept = [i for i, r in enumerate(rays) if r[p] >= 0]
+        new_rays = [rays[i] for i in kept]
+        new_zeros = [zeros[i] for i in kept]
+        if pos and neg:
+            rays_zero_at = {}
+            for c in range(e.cols):
+                if added >> c & 1:
+                    rays_zero_at[c] = sum(1 << i for i, z in enumerate(zeros) if z >> c & 1)
+            every = (1 << len(rays)) - 1
+            for i in pos:
+                ri, zi = rays[i], zeros[i] & added
+                for j in neg:
+                    common = zi & zeros[j]
+                    if common.bit_count() < k - 2:
+                        continue
+                    if not _adjacent(common, (1 << i) | (1 << j), rays_zero_at, every):
+                        continue
+                    rj = rays[j]
+                    a, b = ri[p], -rj[p]
+                    ray = [b * x + a * y for x, y in zip(ri, rj)]
+                    g = gcd(*ray)
+                    ray = tuple(x // g for x in ray)
+                    new_rays.append(ray)
+                    new_zeros.append(_zero_mask(ray))
+        rays, zeros = new_rays, new_zeros
+        added |= 1 << p
+    return rays
 
 
 def build_cone(basis: SubspaceBasis) -> ConeQ:
     """Cone generated by the columns of the basis matrix, with facets when
     pointed.  A zero-dimensional cone (no conservation laws) is pointed and
-    facet-free."""
+    facet-free.
+
+    The facets are read off the extreme non-negative conservation laws z:
+    the generators on a facet are the zero set of z, and its normal v
+    solves ``A^T v = z``.  The cone is pointed exactly when the supports of
+    those laws cover every species.
+    """
     a = basis.matrix
-    if a.rows == 0:
+    d, s = a.rows, a.cols
+    if d == 0:
         return ConeQ(a, pointed=True, facets=())
-    if not cone_is_pointed(basis):
+    laws = _extreme_rays(nullspace_basis(a))
+    if any(all(not z[i] for z in laws) for i in range(s)):
         return ConeQ(a, pointed=False, facets=None)
-    return ConeQ(a, pointed=True, facets=_enumerate_facets(a))
+    # A^T has full column rank, so the first d rows of the RREF of
+    # [A^T | laws] hold the normals, one column per law
+    red = row_reduce(
+        RationalMatrix.from_rows(
+            [list(a.column(i)) + [z[i] for z in laws] for i in range(s)], cols=d + len(laws)
+        )
+    )
+    facets = []
+    for j, z in enumerate(laws):
+        normal = [red.rref.entries[r][d + j] for r in range(d)]
+        members = tuple(i for i, x in enumerate(z) if not x)
+        facets.append(Facet(members, normalize_integer_vector(normal, fix_sign=False)))
+    return ConeQ(a, pointed=True, facets=tuple(sorted(facets, key=lambda f: f.members)))
 
 
 def cone_facets(cone: ConeQ) -> tuple[Facet, ...]:
@@ -196,40 +253,18 @@ class InvariantPolytope:
 def vertex_supports(p: InvariantPolytope) -> tuple[tuple[int, ...], ...]:
     """Supports of all vertices, each exactly once, sorted by (size, members).
 
-    Enumerates basic solutions: for every column subset of size rank(A)
-    solve the square system and keep the non-negative solutions.  Distinct
-    bases giving the same degenerate vertex are deduplicated by the point.
+    The vertices are the extreme rays (x, t) with t > 0 of the cone
+    ``{(x, t) >= 0 : A x - t A c0 = 0}``; the rays with t = 0 are the
+    directions in which the polytope is unbounded.
     """
-    a = p.matrix
-    r = a.rows  # conservation bases have independent rows
-    s = a.cols
-    points: set[Vec] = set()
-    if r == 0:
-        points.add(tuple(Fraction(0) for _ in range(s)))
-    for subset in combinations(range(s), r):
-        sub = RationalMatrix.from_rows(
-            [[a.entries[i][j] for j in subset] for i in range(r)], cols=r
-        )
-        solution = _solve_square(sub, p.rhs)
-        if solution is None or any(x < 0 for x in solution):
-            continue
-        full = [Fraction(0)] * s
-        for j, val in zip(subset, solution):
-            full[j] = val
-        points.add(tuple(full))
-    supports = {tuple(i for i, x in enumerate(pt) if x > 0) for pt in points}
-    return tuple(sorted(supports, key=lambda sup: (len(sup), sup)))
-
-
-def _solve_square(m: RationalMatrix, rhs: Vec) -> Vec | None:
-    n = m.rows
-    aug = RationalMatrix.from_rows(
-        [list(m.entries[i]) + [rhs[i]] for i in range(n)], cols=n + 1
+    a, s = p.matrix, p.num_species
+    homogenized = RationalMatrix(
+        tuple(row + (-b,) for row, b in zip(a.entries, p.rhs)), s + 1
     )
-    red = row_reduce(aug)
-    if red.pivot_cols[: red.rank] != tuple(range(red.rank)) or red.rank != n:
-        return None
-    return tuple(red.rref.entries[i][n] for i in range(n))
+    supports = {
+        tuple(i for i in range(s) if ray[i]) for ray in _extreme_rays(homogenized) if ray[s]
+    }
+    return tuple(sorted(supports, key=lambda sup: (len(sup), sup)))
 
 
 def face_nonempty(p: InvariantPolytope, zero_set: Iterable[int]) -> Vec | None:

@@ -40,7 +40,7 @@ def _frac(x) -> Fraction:
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch in dot product")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
 @dataclass(frozen=True)

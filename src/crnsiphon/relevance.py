@@ -19,11 +19,9 @@ a boundary steady state.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Sequence
 
 from crnsiphon.geometry import (
@@ -32,7 +30,6 @@ from crnsiphon.geometry import (
     InvariantPolytope,
     NotPointedError,
     build_cone,
-    cone_is_pointed,
     face_dimension,
 )
 from crnsiphon.linalg import SubspaceBasis, conservation_basis, normalize_integer_vector
@@ -60,12 +57,6 @@ __all__ = [
 ]
 
 Vec = tuple[Fraction, ...]
-
-# analyze() skips the facet cross-check when the subset count of the
-# brute-force facet enumeration would exceed this; the LP route is
-# authoritative either way.
-DEFAULT_FACET_ENUMERATION_LIMIT = 250_000
-
 
 class RouteDisagreementError(RuntimeError):
     """The two independent relevance routes disagreed; this indicates a bug,
@@ -227,14 +218,6 @@ def orbit_partition(
     return tuple(tuple(g) for g in sorted(groups.values()))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SIPHON_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _positive_vec(values: Sequence) -> Vec:
     return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in values)
 
@@ -245,14 +228,12 @@ def analyze(
     omega_samples: Sequence[Sequence] | None = None,
     budget: Budget | None = None,
     symmetry: Sequence[dict[int, int]] | None = None,
-    facet_limit: int = DEFAULT_FACET_ENUMERATION_LIMIT,
     collect_timing: bool = False,
 ) -> AnalysisReport:
     """Run the full pipeline and assemble a report.
 
     Every minimal siphon gets a conservation-LP verdict; when the cone is
-    pointed (and small enough to enumerate facets under ``facet_limit``)
-    the facet route runs as a cross-check and a disagreement raises
+    pointed the facet route runs as a cross-check and a disagreement raises
     :class:`RouteDisagreementError`.  With ``c0`` the per-start relevance
     and face dimensions are added; with ``omega_samples`` the per-sample
     pattern is added.  A budget overrun degrades to a partial,
@@ -264,14 +245,7 @@ def analyze(
     conn = connectivity(net)
     basis = conservation_basis(net)
 
-    d, s = basis.dim, net.num_species
-    enumeration_cost = comb(s, d - 1) if d >= 1 else 0
-    if d >= 1 and enumeration_cost <= facet_limit:
-        cone = build_cone(basis)
-    else:
-        # size guard: keep pointedness (one LP) but skip facet enumeration
-        pointed = cone_is_pointed(basis)
-        cone = ConeQ(basis.matrix, pointed=pointed, facets=() if d == 0 else None)
+    cone = build_cone(basis)
     timings["setup_ms"] = (time.monotonic() - t0) * 1000
 
     t1 = time.monotonic()
@@ -283,7 +257,7 @@ def analyze(
         exhaustive = False
     timings["siphons_ms"] = (time.monotonic() - t1) * 1000
 
-    facet_route_used = cone.pointed and cone.facets is not None
+    facet_route_used = cone.pointed
     polytope = InvariantPolytope(basis.matrix, _positive_vec(c0)) if c0 is not None else None
     sample_polytopes = (
         [InvariantPolytope(basis.matrix, _positive_vec(sm)) for sm in omega_samples]
@@ -325,16 +299,7 @@ def analyze(
         return SiphonAnalysis(verdict, facet_verdict, c0_verdict, dim, hits)
 
     t2 = time.monotonic()
-    workers = _thread_count()
-    if workers > 1 and len(siphons) > 1:
-        # imported only here: concurrent.futures (with logging and
-        # traceback) adds about 0.6 MB to every process that loads it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            analyses = tuple(pool.map(examine, siphons))
-    else:
-        analyses = tuple(examine(z) for z in siphons)
+    analyses = tuple(examine(z) for z in siphons)
     timings["relevance_ms"] = (time.monotonic() - t2) * 1000
 
     all_non_relevant = all(not a.verdict.relevant for a in analyses)
@@ -355,11 +320,6 @@ def analyze(
         "complex-balancing rate conditions are not analyzed; verdicts here "
         "are structural and hold for every choice of positive rates"
     )
-    if not facet_route_used and cone.pointed and d >= 1:
-        notes.append(
-            "facet enumeration skipped (size guard); relevance rests on the "
-            "conservation-law LP route alone"
-        )
     if not cone.pointed:
         notes.append(
             "cone of conserved quantities is not pointed; facet route disabled"

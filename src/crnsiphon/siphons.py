@@ -5,12 +5,12 @@ species of Z already consumes some species of Z.  Three enumeration routes
 live here:
 
 * ``brute_force_minimal_siphons`` — the oracle: filter all subsets.
-* ``minimal_siphons`` — depth-first search that repairs one violated
-  production clause at a time, pruning branches that contain a previously
-  found siphon, with a final inclusion-minimality pass.
-* ``minimal_siphons_fast`` — for strongly connected networks the minimal
-  siphons are exactly the minimal transversals of the complex supports, so
-  the hypergraph dualizer below applies.
+* ``minimal_siphons(method="search")`` — depth-first search that repairs
+  one violated production clause at a time, pruning branches that contain
+  a previously found siphon, with a final inclusion-minimality pass.
+* ``minimal_siphons(method="transversal")`` — for strongly connected
+  networks the minimal siphons are exactly the minimal transversals of the
+  complex supports, so the hypergraph dualizer below applies.
 
 The transversal enumerator keeps, for every chosen vertex, a non-empty set
 of "private" edges hit by that vertex alone; a branch is extended only
@@ -43,7 +43,6 @@ __all__ = [
     "siphon_violation",
     "brute_force_minimal_siphons",
     "minimal_siphons",
-    "minimal_siphons_fast",
     "minimal_siphon_counts",
     "minimal_transversals",
     "transversal_counts",
@@ -584,8 +583,12 @@ def _mask_to_siphon(mask: int) -> Siphon:
     return Siphon(tuple(members))
 
 
+def _by_size(siphons: Iterable[Siphon]) -> list[Siphon]:
+    return sorted(siphons, key=lambda z: (len(z.members), z.members))
+
+
 def _sorted_siphons(masks: Iterable[int]) -> list[Siphon]:
-    return sorted(map(_mask_to_siphon, masks), key=lambda z: (len(z.members), z.members))
+    return _by_size(map(_mask_to_siphon, masks))
 
 
 def brute_force_minimal_siphons(net: ReactionNetwork) -> list[Siphon]:
@@ -677,26 +680,6 @@ def _transversal_route(net: ReactionNetwork) -> tuple[list[Siphon], Hypergraph |
     return singletons, complex_support_hypergraph(net)
 
 
-def minimal_siphons_fast(net: ReactionNetwork, budget: Budget | None = None) -> list[Siphon]:
-    """Minimal siphons via complex-support transversals.
-
-    Valid only for strongly connected networks (see ``_transversal_route``).
-    """
-    singletons, h = _transversal_route(net)
-    if h is None:
-        return singletons
-    try:
-        transversals = minimal_transversals(h, budget)
-    except BudgetExceededError as exc:
-        partial = sorted(
-            singletons + [Siphon(tuple(sorted(t))) for t in exc.partial],
-            key=lambda z: (len(z.members), z.members),
-        )
-        raise BudgetExceededError(str(exc), partial) from None
-    found = singletons + [Siphon(tuple(sorted(t))) for t in transversals]
-    return sorted(found, key=lambda z: (len(z.members), z.members))
-
-
 def minimal_siphon_counts(
     net: ReactionNetwork, budget: Budget | None = None, method: str = "auto"
 ) -> TransversalTally:
@@ -737,13 +720,22 @@ def minimal_siphons(
     """All inclusion-minimal siphons, sorted by (size, members).
 
     ``method`` selects the route: "search" (general branch-and-prune),
-    "transversal" (strongly connected networks only), or "auto" (transversal
-    when the precondition holds, search otherwise).
+    "transversal" (strongly connected networks only: complex-support
+    transversals, see ``_transversal_route``), or "auto" (transversal when
+    the precondition holds, search otherwise).
     """
     if method not in ("auto", "search", "transversal"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "transversal":
-        return minimal_siphons_fast(net, budget)
-    if method == "auto" and connectivity(net).is_strongly_connected:
-        return minimal_siphons_fast(net, budget)
-    return _sorted_siphons(_search_minimal_siphons(net, budget))
+    if method == "search" or (
+        method == "auto" and not connectivity(net).is_strongly_connected
+    ):
+        return _sorted_siphons(_search_minimal_siphons(net, budget))
+    singletons, h = _transversal_route(net)
+    if h is None:
+        return singletons
+    try:
+        transversals = minimal_transversals(h, budget)
+    except BudgetExceededError as exc:
+        partial = singletons + [Siphon(tuple(sorted(t))) for t in exc.partial]
+        raise BudgetExceededError(str(exc), _by_size(partial)) from None
+    return _by_size(singletons + [Siphon(tuple(sorted(t))) for t in transversals])

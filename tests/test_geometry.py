@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
@@ -33,6 +36,114 @@ OMEGA3 = [F(1, 10), F(1), F(1, 10), F(1, 10), F(1, 10)]
 
 def support_names(net, supports):
     return {"".join(net.species.names[i] for i in s) for s in supports}
+
+
+# Brute-force oracles for the double-description routine: one LP for
+# pointedness, every generator subset of rank d - 1 for the facets, every
+# column basis for the vertices.  Integer elimination written here, so they
+# share no code with what they check.
+
+
+def _echelon(rows, ncols):
+    """Fraction-free forward elimination of integer rows: (rows, pivots)."""
+    m = [list(r) for r in rows]
+    pivots, prev = [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        for i in range(r + 1, len(m)):
+            m[i] = [(piv * x - m[i][c] * y) // prev for x, y in zip(m[i], m[r])]
+        prev = piv
+        pivots.append(c)
+    return m, pivots
+
+
+def _back_substitute(m, pivots, x):
+    """Fill the pivot entries of x, whose other entries are set, so that
+    every echelon row sums to zero against it."""
+    for i in reversed(range(len(pivots))):
+        c = pivots[i]
+        x[c] = -F(sum(m[i][j] * x[j] for j in range(c + 1, len(x)))) / m[i][c]
+    return x
+
+
+def _primitive(v):
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
+def oracle_pointed(a):
+    # some v with <v, a_i> >= 1 for every generator column a_i
+    from crnsiphon.lp import LinearSystem, feasible
+
+    d, s = a.rows, a.cols
+    if d == 0:
+        return True
+    rows = [
+        ([a.entries[r][i] for r in range(d)] + [-1 if j == i else 0 for j in range(s)], 1)
+        for i in range(s)
+    ]
+    return feasible(LinearSystem.build(d + s, eq_rows=rows, nonneg=range(d, d + s))).feasible
+
+
+def oracle_facets(a):
+    """(members, primitive inner normal) of every facet of a pointed cone."""
+    d, s = a.rows, a.cols
+    cols = [[int(x) for x in a.column(i)] for i in range(s)]
+    found = {}
+    for subset in combinations(range(s), d - 1):
+        m, pivots = _echelon([cols[i] for i in subset], d)
+        if len(pivots) != d - 1:
+            continue
+        x = [F(0)] * d
+        x[next(c for c in range(d) if c not in pivots)] = F(1)
+        normal = _primitive(_back_substitute(m, pivots, x))
+        values = [sum(v * c for v, c in zip(normal, col)) for col in cols]
+        if all(v <= 0 for v in values):
+            normal, values = [-v for v in normal], [-v for v in values]
+        elif not all(v >= 0 for v in values):
+            continue
+        found[tuple(i for i, v in enumerate(values) if v == 0)] = tuple(F(v) for v in normal)
+    return sorted(found.items())
+
+
+def oracle_vertices(p):
+    """Every basic feasible solution of {x >= 0 : A x = A c0}."""
+    a, rhs = p.matrix, p.rhs
+    r, s = a.rows, a.cols
+    if r == 0:
+        return {tuple(F(0) for _ in range(s))}
+    den = 1
+    for x in [*rhs, *(y for row in a.entries for y in row)]:
+        den = den * x.denominator // gcd(den, x.denominator)
+    rows = [[int(x * den) for x in row] + [int(b * den)] for row, b in zip(a.entries, rhs)]
+    points = set()
+    for basis in combinations(range(s), r):
+        m, pivots = _echelon([[row[j] for j in basis] + [row[s]] for row in rows], r + 1)
+        if pivots != list(range(r)):
+            continue
+        x = _back_substitute(m, pivots, [F(0)] * r + [F(-1)])
+        if all(v >= 0 for v in x[:r]):
+            point = [F(0)] * s
+            for j, v in zip(basis, x):
+                point[j] = v
+            points.add(tuple(point))
+    return points
+
+
+def oracle_vertex_supports(p):
+    supports = {tuple(i for i, x in enumerate(pt) if x > 0) for pt in oracle_vertices(p)}
+    return tuple(sorted(supports, key=lambda sup: (len(sup), sup)))
 
 
 class TestBuildCone:
@@ -135,6 +246,71 @@ class TestVertexSupports:
                 assert (witness is not None) == has_vertex
 
 
+class TestDoubleDescription:
+    """Facets, pointedness and vertex supports against the brute-force
+    oracles above."""
+
+    @staticmethod
+    def check_cone(net):
+        basis = conservation_basis(net)
+        cone = build_cone(basis)
+        assert cone.pointed == oracle_pointed(basis.matrix)
+        if basis.dim == 0:
+            assert cone.facets == ()
+        elif cone.pointed:
+            assert [(f.members, f.normal) for f in cone.facets] == oracle_facets(basis.matrix)
+        else:
+            assert cone.facets is None
+        return "no laws" if basis.dim == 0 else "pointed" if cone.pointed else "not pointed"
+
+    @staticmethod
+    def check_vertices(net, c0):
+        p = InvariantPolytope.from_network(net, c0)
+        supports = vertex_supports(p)
+        assert supports == oracle_vertex_supports(p)
+        return any(len(sup) < p.matrix.rows for sup in supports)
+
+    def test_random_networks(self):
+        rng = random.Random(2024)
+        kinds = Counter()
+        for _ in range(240):
+            net = random_network(rng, max_species=7)
+            kinds[self.check_cone(net)] += 1
+            c0 = [F(rng.randint(1, 2)) for _ in range(net.num_species)]
+            kinds["degenerate vertex"] += self.check_vertices(net, c0)
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_grids(self):
+        rng = random.Random(5)
+        for n in (3, 4):
+            net = grid_minors_network(n)
+            assert self.check_cone(net) == "pointed"
+            self.check_vertices(net, [1] * (n * n))
+            self.check_vertices(net, [rng.randint(1, 4) for _ in range(n * n)])
+
+    def test_grid5_cone(self, grid5):
+        cone = build_cone(conservation_basis(grid5))
+        assert cone.pointed and len(cone.facets) == 10
+        for facet in cone.facets:
+            for i in range(cone.num_generators):
+                value = dot(facet.normal, cone.matrix.column(i))
+                assert value == 0 if i in facet.members else value > 0
+
+    def test_grid5_chamber_signatures(self, grid5):
+        net = grid5
+        ones = chamber_signature(net, [1] * 25)
+        # the vertices of the Birkhoff polytope B5: the 5x5 permutation matrices
+        assert set(ones) == {
+            tuple(sorted(net.species.index[f"c{i + 1}{j + 1}"] for i, j in enumerate(perm)))
+            for perm in permutations(range(5))
+        }
+        assert len(ones) == 120
+        for center in (F(1, 2), F(3, 2)):
+            c0 = [F(1)] * 25
+            c0[net.species.index["c33"]] = center
+            assert chamber_signature(net, c0) != ones
+
+
 class TestFaces:
     def test_empty_zero_set_returns_start_compatible_point(self, receptor_ligand):
         p = InvariantPolytope.from_network(receptor_ligand, OMEGA1)
@@ -179,30 +355,9 @@ class TestFaces:
 
     def test_face_dimension_matches_vertex_span_oracle(self, receptor_ligand):
         # independent oracle for bounded polytopes: the dimension of a face
-        # equals the affine rank of its vertex set, where the vertices come
-        # from a from-scratch basic-solution enumeration in this test
-        from itertools import combinations
-
+        # equals the affine rank of its vertex set, the vertices coming
+        # from the basic-solution oracle above
         from crnsiphon.linalg import row_reduce
-
-        def enumerate_vertices(p):
-            a, rhs = p.matrix, p.rhs
-            r, s = a.rows, a.cols
-            points = set()
-            for cols in combinations(range(s), r):
-                aug = RationalMatrix.from_rows(
-                    [[a.entries[i][j] for j in cols] + [rhs[i]] for i in range(r)],
-                    cols=r + 1,
-                )
-                red = row_reduce(aug)
-                if red.rank != r or red.pivot_cols != tuple(range(r)):
-                    continue
-                x = [F(0)] * s
-                for j, i in zip(cols, range(r)):
-                    x[j] = red.rref.entries[i][r]
-                if all(v >= 0 for v in x):
-                    points.add(tuple(x))
-            return points
 
         nets_and_starts = [
             (receptor_ligand, OMEGA1),
@@ -211,7 +366,7 @@ class TestFaces:
         ]
         for net, c0 in nets_and_starts:
             p = InvariantPolytope.from_network(net, c0)
-            vertices = enumerate_vertices(p)
+            vertices = oracle_vertices(p)
             for size in (0, 1, 2, 3):
                 for z in combinations(range(net.num_species), size):
                     face_vertices = [v for v in vertices if all(v[i] == 0 for i in z)]
@@ -233,8 +388,6 @@ class TestFaces:
     def test_face_dimension_matches_vertex_span_on_random_networks(self):
         # same oracle as above, over random networks whose invariant
         # polytope is bounded (trivial recession cone), random zero sets
-        from itertools import combinations
-
         from crnsiphon.linalg import row_reduce
         from crnsiphon.lp import LinearSystem, feasible
 
@@ -248,27 +401,6 @@ class TestFaces:
             )
             return not feasible(probe).feasible
 
-        def vertices_of(p):
-            a, rhs = p.matrix, p.rhs
-            r, s = a.rows, a.cols
-            points = set()
-            if r == 0:
-                return {tuple(F(0) for _ in range(s))}
-            for cols in combinations(range(s), r):
-                aug = RationalMatrix.from_rows(
-                    [[a.entries[i][j] for j in cols] + [rhs[i]] for i in range(r)],
-                    cols=r + 1,
-                )
-                red = row_reduce(aug)
-                if red.rank != r or red.pivot_cols != tuple(range(r)):
-                    continue
-                x = [F(0)] * s
-                for j, i in zip(cols, range(r)):
-                    x[j] = red.rref.entries[i][r]
-                if all(v >= 0 for v in x):
-                    points.add(tuple(x))
-            return points
-
         rng = random.Random(137)
         checked = 0
         for _ in range(120):
@@ -278,7 +410,7 @@ class TestFaces:
             if not polytope_is_bounded(p):
                 continue
             checked += 1
-            vertices = vertices_of(p)
+            vertices = oracle_vertices(p)
             for _ in range(8):
                 z = tuple(i for i in range(net.num_species) if rng.random() < 0.4)
                 face_vertices = [v for v in vertices if all(v[i] == 0 for i in z)]

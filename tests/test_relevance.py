@@ -257,17 +257,12 @@ class TestAnalyze:
         assert any("not exhaustive" in n for n in report.notes)
         assert report.boundary_certificate is None
 
-    def test_facet_guard_skips_enumeration(self, grid5):
-        report = analyze(grid5, facet_limit=1000)
-        assert report.cone.pointed
-        assert not report.facet_route_used
-        assert any("size guard" in n for n in report.notes)
-
-    def test_threads_give_same_report(self, receptor_ligand, monkeypatch):
-        base = analyze(receptor_ligand, c0=OMEGA1)
-        monkeypatch.setenv("SIPHON_THREADS", "4")
-        threaded = analyze(receptor_ligand, c0=OMEGA1)
-        assert [a.verdict for a in base.siphons] == [a.verdict for a in threaded.siphons]
+    def test_grid_runs_the_facet_cross_check(self, grid5):
+        report = analyze(grid5)
+        assert report.cone.pointed and report.facet_route_used
+        assert len(report.siphons) == 28
+        assert all(a.verdict.cross_checked for a in report.siphons)
+        assert sum(a.verdict.relevant for a in report.siphons) == 18
 
     def test_per_network_work_runs_once(self, monkeypatch):
         import crnsiphon.network as network_module

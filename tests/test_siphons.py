@@ -25,7 +25,6 @@ from crnsiphon.siphons import (
     is_siphon,
     minimal_siphon_counts,
     minimal_siphons,
-    minimal_siphons_fast,
     minimal_transversals,
     siphon_violation,
     transversal_counts,
@@ -114,12 +113,12 @@ class TestOracleEquivalence:
             if not connectivity(net).is_strongly_connected:
                 continue
             checked += 1
-            assert minimal_siphons_fast(net) == minimal_siphons(net, method="search")
+            assert minimal_siphons(net, method="transversal") == minimal_siphons(net, method="search")
         assert checked >= 10
 
     def test_fast_path_requires_strong_connectivity(self, futile_cycle):
         with pytest.raises(ValueError, match="strongly connected"):
-            minimal_siphons_fast(futile_cycle)
+            minimal_siphons(futile_cycle, method="transversal")
 
     def test_outputs_are_siphons_and_incomparable(self):
         rng = random.Random(77)
