@@ -1,18 +1,22 @@
 """Exact rational linear algebra for conservation-law computations.
 
-All arithmetic is over :class:`fractions.Fraction`; nothing here ever
-rounds.  Row reduction runs a fraction-free (Bareiss) forward pass over an
-integer-scaled copy of the matrix to bound coefficient growth, then
-normalizes to reduced row echelon form.  Output bases are integer vectors
-with content 1 and a positive leading entry, so they are directly
-comparable across runs.
+Inputs and outputs are :class:`fractions.Fraction`; nothing here ever
+rounds.  Inside, every row is scaled once to integers by
+:func:`integer_row`, and the elimination loops run on Python ints only:
+:func:`rank` is a fraction-free (Bareiss) forward pass, and
+:func:`row_reduce` follows that pass with an integer back-substitution
+that clears each pivot column by cross-multiplication and divides every
+updated row by its content.  Fractions are built once, when the reduced
+row echelon form is returned.  Output bases are integer vectors with
+content 1 and a positive leading entry, so they are directly comparable
+across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -22,6 +26,7 @@ __all__ = [
     "RationalMatrix",
     "RowReduction",
     "SubspaceBasis",
+    "rank",
     "row_reduce",
     "nullspace_basis",
     "conservation_basis",
@@ -94,22 +99,33 @@ class RowReduction:
     pivot_cols: tuple[int, ...]
 
 
-def _integerize(row: Sequence[Fraction]) -> list[int]:
-    scale = 1
-    for x in row:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    return [int(x * scale) for x in row]
+def integer_row(row: Sequence) -> tuple[list[int], int]:
+    """``(row * scale, scale)`` as ints, with ``scale`` the least positive
+    integer clearing every denominator of the row.
 
-
-def row_reduce(m: RationalMatrix) -> RowReduction:
-    """Rank, RREF, and pivot columns (pivot order fixed by column order).
-
-    Forward pass is one-step Bareiss on an integer-scaled copy; every row
-    below the pivot is updated at every step (the exact division relies on
-    that), then a rational back-substitution produces the RREF.
+    Entries may be ints, Fractions or anything ``Fraction`` accepts; an
+    entry without ``.denominator`` makes the whole row go through
+    ``Fraction`` first.
     """
-    rows = [_integerize(r) for r in m.entries]
-    nrows, ncols = len(rows), m.cols
+    try:
+        scale = lcm(*{x.denominator for x in row})
+    except AttributeError:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*{x.denominator for x in row})
+    if scale == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def _bareiss_forward(rows: list[list[int]], ncols: int) -> list[tuple[int, int]]:
+    """Fraction-free forward elimination of integer ``rows`` in place.
+
+    One-step Bareiss: every row below the pivot is updated at every step
+    (the exact division by the previous pivot relies on that).  Returns the
+    (row, column) of each pivot, pivot columns in increasing order; the rows
+    past the last pivot are left zero.
+    """
+    nrows = len(rows)
     pivots: list[tuple[int, int]] = []
     prev_piv = 1
     r = 0
@@ -120,27 +136,63 @@ def row_reduce(m: RationalMatrix) -> RowReduction:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
+        prow = rows[r]
+        piv = prow[c]
         for i in range(r + 1, nrows):
             fi = rows[i][c]
-            rows[i] = [(piv * rows[i][j] - fi * rows[r][j]) // prev_piv for j in range(ncols)]
+            if fi:
+                rows[i] = [(piv * x - fi * p) // prev_piv for x, p in zip(rows[i], prow)]
+            elif piv != prev_piv:
+                rows[i] = [piv * x // prev_piv for x in rows[i]]
         prev_piv = piv
         pivots.append((r, c))
         r += 1
+    return pivots
 
-    frac_rows = [[Fraction(x) for x in row] for row in rows]
-    for k in range(len(pivots) - 1, -1, -1):
+
+def rank(m: RationalMatrix) -> int:
+    """Rank of ``m`` by one fraction-free forward pass on integer rows."""
+    return len(_bareiss_forward([integer_row(r)[0] for r in m.entries], m.cols))
+
+
+def row_reduce(m: RationalMatrix) -> RowReduction:
+    """Rank, RREF, and pivot columns (pivot order fixed by column order).
+
+    The forward pass is the one of :func:`rank`.  The back-substitution
+    stays on integers: the pivot rows are divided by their content, then,
+    from the last pivot up, each row above is updated to
+    ``row * piv - f * prow`` (``f`` its entry in the pivot column) and
+    divided by its content.  Each row of the RREF is then its integer row
+    over its pivot entry, one Fraction per entry.
+    """
+    rows = [integer_row(r)[0] for r in m.entries]
+    ncols = m.cols
+    pivots = _bareiss_forward(rows, ncols)
+    for pr, _ in pivots:
+        g = gcd(*rows[pr])
+        if g > 1:
+            rows[pr] = [x // g for x in rows[pr]]
+    for k in range(len(pivots) - 1, 0, -1):
         pr, pc = pivots[k]
-        piv = frac_rows[pr][pc]
-        frac_rows[pr] = [x / piv for x in frac_rows[pr]]
-        prow = frac_rows[pr]
+        prow = rows[pr]
+        piv = prow[pc]
         for i in range(pr):
-            f = frac_rows[i][pc]
+            f = rows[i][pc]
             if f:
-                frac_rows[i] = [x - f * p for x, p in zip(frac_rows[i], prow)]
+                row = [x * piv - f * p for x, p in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+    zero = Fraction(0)
+    out = []
+    for i, row in enumerate(rows):
+        if i < len(pivots):
+            piv = row[pivots[i][1]]
+            out.append(tuple(Fraction(x, piv) if x else zero for x in row))
+        else:
+            out.append((zero,) * ncols)
     return RowReduction(
         rank=len(pivots),
-        rref=RationalMatrix(tuple(tuple(row) for row in frac_rows), ncols),
+        rref=RationalMatrix(tuple(out), ncols),
         pivot_cols=tuple(c for _, c in pivots),
     )
 
@@ -149,7 +201,7 @@ def normalize_integer_vector(v: Sequence[Fraction], fix_sign: bool = True) -> Ve
     """Scale to integer entries with content 1; by default also flip the
     sign so the first nonzero entry is positive (skip that for vectors
     whose orientation is meaningful, e.g. facet normals)."""
-    ints = _integerize([_frac(x) for x in v])
+    ints, _ = integer_row(v)
     g = 0
     for x in ints:
         g = gcd(g, abs(x))
@@ -186,7 +238,7 @@ class SubspaceBasis:
     matrix: RationalMatrix
 
     def __post_init__(self):
-        if row_reduce(self.matrix).rank != self.matrix.rows:
+        if rank(self.matrix) != self.matrix.rows:
             raise ValueError("basis rows are linearly dependent")
 
     @property
@@ -213,6 +265,5 @@ def in_row_space(basis: SubspaceBasis | RationalMatrix, v: Sequence[Fraction]) -
     m = basis.matrix if isinstance(basis, SubspaceBasis) else basis
     if len(v) != m.cols:
         raise ValueError("dimension mismatch")
-    base_rank = row_reduce(m).rank
     stacked = m.stack(RationalMatrix.from_rows([v], cols=m.cols))
-    return row_reduce(stacked).rank == base_rank
+    return rank(stacked) == rank(m)

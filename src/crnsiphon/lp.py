@@ -12,7 +12,10 @@ feasible point; an infeasible one returns a Farkas certificate:
 multipliers that combine the equality rows into a linear form which is
 zero on free variables, non-positive on the variables constrained to be
 non-negative, yet has a positive right-hand side.  Both kinds of answer
-are mapped back to Fractions and re-verified before being returned.
+are mapped back to Fractions and re-verified before being returned, by
+:func:`verify_witness` and :func:`verify_certificate`: they test every
+row in integers after their own scaling and share no code with the
+pivots.
 
 Systems are stated as ``A x = b`` plus per-variable domains: each variable
 is free, constrained ``>= 0``, or pinned to ``0`` (pinning dominates).  An
@@ -24,7 +27,8 @@ how strict-positivity questions are asked (scale invariance turns
 feasible set by witness union: each homogenized probe either shows some
 still-unsettled coordinates positive (and settles every coordinate its
 witness lifts) or proves all the rest zero, so it takes far fewer LPs
-than one probe per coordinate.
+than one probe per coordinate.  The dimension is then one integer rank
+over the columns left unpinned.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from crnsiphon.linalg import RationalMatrix, dot, row_reduce
+from crnsiphon.linalg import RationalMatrix, integer_row, rank
 
 __all__ = [
     "LinearSystem",
@@ -46,10 +50,6 @@ __all__ = [
 ]
 
 Vec = tuple[Fraction, ...]
-
-
-def _frac_row(row: Sequence) -> Vec:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,11 @@ class LinearSystem:
         zero: Sequence[int] = (),
         normalization: Sequence | None = None,
     ) -> "LinearSystem":
-        coeffs = tuple(_frac_row(row) for row, _ in eq_rows)
+        coeffs = RationalMatrix.from_rows([row for row, _ in eq_rows], cols=num_vars).entries
         rhs = tuple(Fraction(b) for _, b in eq_rows)
-        norm = _frac_row(normalization) if normalization is not None else None
+        norm = None
+        if normalization is not None:
+            norm = RationalMatrix.from_rows([normalization], cols=num_vars).entries[0]
         return cls(num_vars, coeffs, rhs, frozenset(nonneg), frozenset(zero), norm)
 
     def all_rows(self) -> tuple[tuple[Vec, ...], Vec]:
@@ -109,36 +111,61 @@ class FeasibilityResult:
 
 
 def verify_witness(system: LinearSystem, witness: Sequence[Fraction]) -> bool:
+    """Exact check that the point satisfies every row and domain.
+
+    Integer arithmetic only: the witness is scaled by one positive common
+    denominator ``d``, each row ``[a | b]`` by its own, and ``a . x == b``
+    is tested as ``a' . x' == b' * d``.
+    """
     if len(witness) != system.num_vars:
         return False
+    x, d = integer_row(witness)
     coeffs, rhs = system.all_rows()
     for row, b in zip(coeffs, rhs):
-        if dot(row, witness) != b:
+        ints, _ = integer_row(row + (b,))
+        if sum(a * v for a, v in zip(ints, x) if a and v) != ints[-1] * d:
             return False
     for i in range(system.num_vars):
         if i in system.zero:
-            if witness[i] != 0:
+            if x[i] != 0:
                 return False
-        elif i in system.nonneg and witness[i] < 0:
+        elif i in system.nonneg and x[i] < 0:
             return False
     return True
 
 
 def verify_certificate(system: LinearSystem, certificate: Sequence[Fraction]) -> bool:
-    """Exact check that the multipliers prove infeasibility."""
+    """Exact check that the multipliers prove infeasibility.
+
+    Integer arithmetic only: the certificate is scaled by one positive
+    common denominator, each row ``[a | b]`` by its own ``s_i``, and the
+    multiplier of row i by ``lcm(s) / s_i`` to undo that; the combined row
+    is then a positive multiple of ``sum_i y_i [a_i | b_i]``, so every sign
+    it is tested for is the rational one.
+    """
     coeffs, rhs = system.all_rows()
     if len(certificate) != len(coeffs):
         return False
-    if dot(certificate, rhs) <= 0:
+    y, _ = integer_row(certificate)
+    scaled = [integer_row(row + (b,)) for row, b in zip(coeffs, rhs)]
+    common = lcm(*(s for _, s in scaled))
+    n = system.num_vars
+    combined = [0] * (n + 1)
+    for yi, (ints, s) in zip(y, scaled):
+        if yi:
+            w = yi * (common // s)
+            for j, a in enumerate(ints):
+                if a:
+                    combined[j] += w * a
+    if combined[n] <= 0:
         return False
-    for j in range(system.num_vars):
+    for j in range(n):
         if j in system.zero:
             continue
-        combined = sum((certificate[i] * coeffs[i][j] for i in range(len(coeffs))), Fraction(0))
         if j in system.nonneg:
-            if combined > 0:
+            if combined[j] > 0:
                 return False
-        elif combined != 0:
+        elif combined[j] != 0:
             return False
     return True
 
@@ -171,10 +198,8 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
         sign = -1 if rhs[i] < 0 else 1
         entries = [coeffs[i][v] for v, _ in col_map]
         entries.append(rhs[i])
-        scale = lcm(*(x.denominator for x in entries))
-        row = [
-            sign * s * x.numerator * (scale // x.denominator) for s, x in zip(col_signs, entries)
-        ]
+        ints, scale = integer_row(entries)
+        row = [sign * s * x for s, x in zip(col_signs, ints)]
         row[k:k] = [1 if t == i else 0 for t in range(m)]
         tab.append(row)
         flips.append(sign)
@@ -274,7 +299,7 @@ def _homogenized_probe(system: LinearSystem, support: Sequence[int]) -> LinearSy
     )
 
 
-def affine_dim(system: LinearSystem) -> int | None:
+def affine_dim(system: LinearSystem, *, first: FeasibilityResult | None = None) -> int | None:
     """Dimension of the affine hull of the feasible set, or None if empty.
 
     The sign constraints that hold with equality across the whole set are
@@ -284,13 +309,19 @@ def affine_dim(system: LinearSystem) -> int | None:
     into the set, one with t = 0 is a recession direction that lifts its
     support off zero when added to a point of the set).  A feasible probe
     clears every coordinate positive in its witness; an infeasible one
-    proves all that remain are zero on the whole set.  The dimension is
-    then a rank computation over the equality rows plus those implicit pins.
+    proves all that remain are zero on the whole set.  With P the pinned
+    coordinates (the explicit and the implicit ones), the hull is cut out
+    by the equality rows and ``x_P = 0``, so its dimension is
+    ``(n - |P|) - rank(A[:, not P])``: one integer rank over the columns
+    that are not pinned.
+
+    ``first`` is :func:`feasible`'s result for this same system when the
+    caller already has it; it is then not solved again.
     """
-    first = feasible(system)
+    if first is None:
+        first = feasible(system)
     if not first.feasible:
         return None
-    n = system.num_vars
     pinned = set(system.zero)
     unsettled = [j for j in sorted(system.nonneg - system.zero) if first.witness[j] == 0]
     while unsettled:
@@ -299,13 +330,7 @@ def affine_dim(system: LinearSystem) -> int | None:
             pinned.update(unsettled)
             break
         unsettled = [j for j in unsettled if probe.witness[j] == 0]
+    free = [j for j in range(system.num_vars) if j not in pinned]
     coeffs, _ = system.all_rows()
-    rows = [list(r) for r in coeffs]
-    for j in sorted(pinned):
-        unit = [Fraction(0)] * n
-        unit[j] = Fraction(1)
-        rows.append(unit)
-    if not rows:
-        return n
-    rank = row_reduce(RationalMatrix.from_rows(rows, cols=n)).rank
-    return n - rank
+    sub = RationalMatrix(tuple(tuple(row[j] for j in free) for row in coeffs), len(free))
+    return len(free) - rank(sub)

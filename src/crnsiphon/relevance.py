@@ -33,7 +33,7 @@ from crnsiphon.geometry import (
     face_dimension,
 )
 from crnsiphon.linalg import SubspaceBasis, conservation_basis, normalize_integer_vector
-from crnsiphon.lp import LinearSystem, feasible
+from crnsiphon.lp import FeasibilityResult, LinearSystem, feasible
 from crnsiphon.network import (
     ConnectivityInfo,
     ReactionNetwork,
@@ -97,6 +97,11 @@ def is_relevant(net: ReactionNetwork, siphon: Siphon) -> RelevanceVerdict:
     """Global relevance via the conservation-law LP (valid for any network)."""
     if not is_siphon(net, siphon.members):
         raise ValueError("relevance is defined for siphons only")
+    return _lp_verdict(net, siphon)
+
+
+def _lp_verdict(net: ReactionNetwork, siphon: Siphon) -> RelevanceVerdict:
+    """:func:`is_relevant` for a set already known to be a siphon."""
     result = feasible(supported_conservation_system(net, siphon.members))
     if result.feasible:
         law = normalize_integer_vector(result.witness)
@@ -122,8 +127,8 @@ def is_relevant_by_facets(
     return RelevanceVerdict(siphon, True, "facet")
 
 
-def _face_verdict(polytope: InvariantPolytope, siphon: Siphon) -> RelevanceVerdict:
-    result = feasible(polytope.face_system(siphon.members))
+def _face_verdict(siphon: Siphon, result: FeasibilityResult) -> RelevanceVerdict:
+    """Verdict from the face LP ``feasible(polytope.face_system(siphon))``."""
     if result.feasible:
         return RelevanceVerdict(siphon, True, "face_lp", face_point=result.witness)
     return RelevanceVerdict(siphon, False, "face_lp", certificate=result.certificate)
@@ -134,7 +139,8 @@ def is_c0_relevant(net: ReactionNetwork, c0: Sequence, siphon: Siphon) -> Releva
     invariant polytope of c0 non-empty?"""
     if not is_siphon(net, siphon.members):
         raise ValueError("relevance is defined for siphons only")
-    return _face_verdict(InvariantPolytope.from_network(net, c0), siphon)
+    polytope = InvariantPolytope.from_network(net, c0)
+    return _face_verdict(siphon, feasible(polytope.face_system(siphon.members)))
 
 
 def omega_relevant(
@@ -153,7 +159,7 @@ def omega_relevant(
 def relevant_minimal_siphons(
     net: ReactionNetwork, budget: Budget | None = None
 ) -> list[Siphon]:
-    return [z for z in minimal_siphons(net, budget) if is_relevant(net, z).relevant]
+    return [z for z in minimal_siphons(net, budget) if _lp_verdict(net, z).relevant]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +272,7 @@ def analyze(
     )
 
     def examine(z: Siphon) -> SiphonAnalysis:
-        verdict = is_relevant(net, z)
+        verdict = _lp_verdict(net, z)
         facet_verdict = None
         if facet_route_used:
             facet_verdict = is_relevant_by_facets(net, z, cone)
@@ -286,15 +292,16 @@ def analyze(
         c0_verdict = None
         dim = None
         if polytope is not None:
-            c0_verdict = _face_verdict(polytope, z)
-            if c0_verdict.relevant:
-                dim = face_dimension(polytope, z.members)
+            face = feasible(polytope.face_system(z.members))
+            c0_verdict = _face_verdict(z, face)
+            if face.feasible:
+                dim = face_dimension(polytope, z.members, first=face)
         hits = None
         if sample_polytopes is not None:
             hits = tuple(
                 idx
                 for idx, sample in enumerate(sample_polytopes)
-                if _face_verdict(sample, z).relevant
+                if feasible(sample.face_system(z.members)).feasible
             )
         return SiphonAnalysis(verdict, facet_verdict, c0_verdict, dim, hits)
 

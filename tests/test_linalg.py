@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import grid_minors_network, random_network
 from crnsiphon.linalg import (
@@ -15,8 +17,10 @@ from crnsiphon.linalg import (
     conservation_basis,
     dot,
     in_row_space,
+    integer_row,
     normalize_integer_vector,
     nullspace_basis,
+    rank,
     row_reduce,
 )
 from crnsiphon.network import stoichiometric_generators
@@ -70,6 +74,115 @@ class TestRowReduce:
             assert red.rank == len(pivots)
             assert red.pivot_cols == tuple(pivots)
             assert _sympy_of(red.rref) == rref
+
+
+BIG_DENOMINATORS = (1, 1, 2, 3, 7, 10**12 + 39, 2**61 - 1)
+
+
+def _kernel_matrix(rng: random.Random) -> RationalMatrix:
+    """A small rational matrix with the shapes elimination gets wrong:
+    no rows, zero rows and columns, repeated and negated rows, negative
+    pivots and denominators far past one machine word."""
+    nr, nc = rng.randint(0, 6), rng.randint(1, 6)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.choice(BIG_DENOMINATORS))
+
+    rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    if rows and rng.random() < 0.3:
+        rows[rng.randrange(nr)] = [Fraction(0)] * nc
+    if rng.random() < 0.3:
+        dead = rng.randrange(nc)
+        for row in rows:
+            row[dead] = Fraction(0)
+    if nr >= 2 and rng.random() < 0.3:
+        k = Fraction(rng.choice((-3, -1, 2)), rng.choice(BIG_DENOMINATORS))
+        rows[rng.randrange(nr)] = [k * x for x in rows[rng.randrange(nr)]]
+    if rows and rng.random() < 0.3:
+        rows[0][0] = -abs(rows[0][0]) or Fraction(-1)
+    return RationalMatrix.from_rows(rows, cols=nc)
+
+
+class TestIntegerKernel:
+    def test_integer_row_scales_by_the_least_common_denominator(self):
+        assert integer_row([Fraction(1, 6), Fraction(-3, 4), 2]) == ([2, -9, 24], 12)
+        assert integer_row([3, -1, 0]) == ([3, -1, 0], 1)
+        assert integer_row(["1/3", 0.5]) == ([2, 3], 6)
+        assert integer_row([]) == ([], 1)
+
+    def test_rank_matches_sympy(self):
+        rng = random.Random(73)
+        ranks = set()
+        for _ in range(300):
+            m = _kernel_matrix(rng)
+            expected = _sympy_of(m).rank()
+            assert rank(m) == expected
+            ranks.add(expected)
+        assert ranks == set(range(7))
+
+    def test_row_reduce_matches_sympy_rref(self):
+        rng = random.Random(73)
+        for _ in range(300):
+            m = _kernel_matrix(rng)
+            red = row_reduce(m)
+            rref, pivots = _sympy_of(m).rref()
+            assert red.rank == len(pivots)
+            assert red.pivot_cols == tuple(pivots)
+            assert _sympy_of(red.rref) == rref
+            assert all(type(x) is Fraction for row in red.rref.entries for x in row)
+
+    def test_rank_of_shapes_without_rows_or_entries(self):
+        assert rank(RationalMatrix((), 4)) == 0
+        assert rank(RationalMatrix.from_rows([[0, 0], [0, 0]])) == 0
+        assert row_reduce(RationalMatrix((), 3)).rref == RationalMatrix((), 3)
+        zero = row_reduce(RationalMatrix.from_rows([[0, 0], [0, 0]]))
+        assert zero.rref.entries == ((Fraction(0),) * 2,) * 2
+        assert all(type(x) is Fraction for row in zero.rref.entries for x in row)
+
+    def test_negative_pivot_rows(self):
+        m = RationalMatrix.from_rows([[-2, 4, 1], [3, -6, Fraction(-1, 2)], [0, 0, 5]])
+        assert rank(m) == 2
+        red = row_reduce(m)
+        assert red.pivot_cols == (0, 2)
+        assert red.rref.entries[:2] == (
+            (Fraction(1), Fraction(-2), Fraction(0)),
+            (Fraction(0), Fraction(0), Fraction(1)),
+        )
+
+
+# zeros and small integers often, so that pivots need row swaps and rows
+# are dependent
+_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@st.composite
+def _small_matrices(draw):
+    nc = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_rationals, min_size=nc, max_size=nc), max_size=5))
+    return RationalMatrix.from_rows(rows, cols=nc)
+
+
+class TestRankProperty:
+    # no shrink phase: shrinking one failure here took about four minutes,
+    # so a failure reports its first example as drawn
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        phases=(Phase.explicit, Phase.generate),
+    )
+    @given(_small_matrices())
+    def test_rank_agrees_with_row_reduce_and_sympy(self, m):
+        r = rank(m)
+        assert r == row_reduce(m).rank
+        assert r == _sympy_of(m).rank()
 
 
 class TestNullspace:

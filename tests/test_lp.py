@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from conftest import random_network
-from crnsiphon.linalg import RationalMatrix, row_reduce
+from crnsiphon.linalg import RationalMatrix, rank, row_reduce
 from crnsiphon.lp import (
     LinearSystem,
     affine_dim,
@@ -76,11 +76,9 @@ def _reference_feasible(system):
     return None, tuple(f * (1 - obj[k + i]) for i, f in enumerate(flips))
 
 
-def _affine_dim_oracle(system):
-    """The per-coordinate definition: one homogenized positivity probe for
-    every non-negative coordinate, then a rank."""
-    if not feasible(system).feasible:
-        return None
+def _pins_by_probes(system):
+    """Coordinates zero on the whole (nonempty) feasible set, by one
+    homogenized positivity probe for every non-negative coordinate."""
     coeffs, rhs = system.all_rows()
     n = system.num_vars
     pinned = set(system.zero)
@@ -94,10 +92,108 @@ def _affine_dim_oracle(system):
         )
         if not feasible(probe).feasible:
             pinned.add(j)
+    return pinned
+
+
+def _unit_row_dim(system, pinned):
+    """Dimension of ``{A x = b, x_P = 0}`` as ``n - rank([A; e_P])``, with
+    the unit rows written out and ranked by ``row_reduce``."""
+    coeffs, _ = system.all_rows()
+    n = system.num_vars
     rows = [list(r) for r in coeffs] + [[int(i == j) for i in range(n)] for j in sorted(pinned)]
     if not rows:
         return n
     return n - row_reduce(RationalMatrix.from_rows(rows, cols=n)).rank
+
+
+def _affine_dim_oracle(system):
+    """The per-coordinate definition: one homogenized positivity probe for
+    every non-negative coordinate, then a rank."""
+    if not feasible(system).feasible:
+        return None
+    return _unit_row_dim(system, _pins_by_probes(system))
+
+
+def _affine_corpus():
+    """240 systems, many feasible with coordinates pinned on the whole set."""
+    rng = random.Random(29)
+    for _ in range(240):
+        n = rng.randint(1, 6)
+        m = rng.randint(0, 3)
+        # rhs from a point with some zero coordinates, so that many
+        # systems are feasible with coordinates pinned on the whole set
+        point = [
+            F(rng.randint(0, 3), rng.randint(1, 2)) if rng.random() < 0.6 else F(0)
+            for _ in range(n)
+        ]
+        rows = []
+        for _ in range(m):
+            row = [F(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(n)]
+            b = sum((a * x for a, x in zip(row, point)), F(0))
+            rows.append((row, b if rng.random() < 0.85 else b + 1))
+        nonneg = [j for j in range(n) if rng.random() < 0.8]
+        zero = [j for j in range(n) if rng.random() < 0.1]
+        norm = [F(rng.randint(0, 2)) for _ in range(n)] if rng.random() < 0.2 else None
+        yield _simple(n, rows, nonneg=nonneg, zero=zero, normalization=norm)
+
+
+def _reference_verify_witness(system, witness):
+    """The gate in Fraction arithmetic, row by row."""
+    if len(witness) != system.num_vars:
+        return False
+    coeffs, rhs = system.all_rows()
+    for row, b in zip(coeffs, rhs):
+        if sum((a * x for a, x in zip(row, witness)), F(0)) != b:
+            return False
+    for i in range(system.num_vars):
+        if i in system.zero:
+            if witness[i] != 0:
+                return False
+        elif i in system.nonneg and witness[i] < 0:
+            return False
+    return True
+
+
+def _reference_verify_certificate(system, certificate):
+    """The Farkas check in Fraction arithmetic, column by column."""
+    coeffs, rhs = system.all_rows()
+    if len(certificate) != len(coeffs):
+        return False
+    if sum((y * b for y, b in zip(certificate, rhs)), F(0)) <= 0:
+        return False
+    for j in range(system.num_vars):
+        if j in system.zero:
+            continue
+        combined = sum((y * row[j] for y, row in zip(certificate, coeffs)), F(0))
+        if j in system.nonneg:
+            if combined > 0:
+                return False
+        elif combined != 0:
+            return False
+    return True
+
+
+def _perturbations(rng, vec, pinned):
+    """Copies of `vec` with one numerator moved by one, one sign flipped,
+    one denominator changed, and a nonzero value on a pinned coordinate."""
+    out = []
+    for _ in range(3):
+        i = rng.randrange(len(vec))
+        x = vec[i]
+        v = list(vec)
+        v[i] = F(x.numerator + rng.choice((-1, 1)), x.denominator)
+        out.append(tuple(v))
+        v = list(vec)
+        v[i] = -x if x else F(-1, rng.randint(1, 4))
+        out.append(tuple(v))
+        v = list(vec)
+        v[i] = F(x.numerator or 1, x.denominator * rng.choice((2, 3, 5)))
+        out.append(tuple(v))
+    for j in pinned:
+        v = list(vec)
+        v[j] = F(rng.choice((-1, 1)), rng.randint(1, 3))
+        out.append(tuple(v))
+    return out
 
 
 class TestFeasible:
@@ -291,27 +387,103 @@ class TestAffineDim:
             assert face_dimension(p, ()) == expected
 
     def test_witness_union_matches_per_coordinate_probes(self):
-        rng = random.Random(29)
         dims = set()
-        for _ in range(240):
-            n = rng.randint(1, 6)
-            m = rng.randint(0, 3)
-            # rhs from a point with some zero coordinates, so that many
-            # systems are feasible with coordinates pinned on the whole set
-            point = [
-                F(rng.randint(0, 3), rng.randint(1, 2)) if rng.random() < 0.6 else F(0)
-                for _ in range(n)
-            ]
-            rows = []
-            for _ in range(m):
-                row = [F(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(n)]
-                b = sum((a * x for a, x in zip(row, point)), F(0))
-                rows.append((row, b if rng.random() < 0.85 else b + 1))
-            nonneg = [j for j in range(n) if rng.random() < 0.8]
-            zero = [j for j in range(n) if rng.random() < 0.1]
-            norm = [F(rng.randint(0, 2)) for _ in range(n)] if rng.random() < 0.2 else None
-            sys_ = _simple(n, rows, nonneg=nonneg, zero=zero, normalization=norm)
+        for sys_ in _affine_corpus():
             expected = _affine_dim_oracle(sys_)
             assert affine_dim(sys_) == expected
             dims.add(expected)
         assert None in dims and len(dims) >= 4
+
+    def test_rank_over_unpinned_columns_matches_unit_rows(self):
+        # n - rank([A; e_P]) == (n - |P|) - rank(A[:, not P]) for every
+        # pin set, not only the implicit pins of a feasible system
+        rng = random.Random(31)
+        pinned_somewhere = 0
+        for sys_ in _affine_corpus():
+            coeffs, _ = sys_.all_rows()
+            n = sys_.num_vars
+            pins = _pins_by_probes(sys_) if feasible(sys_).feasible else set()
+            for pinned in (pins, set(sys_.zero), {j for j in range(n) if rng.random() < 0.4}):
+                free = [j for j in range(n) if j not in pinned]
+                sub = RationalMatrix.from_rows(
+                    [[row[j] for j in free] for row in coeffs], cols=len(free)
+                )
+                assert len(free) - rank(sub) == _unit_row_dim(sys_, pinned)
+                pinned_somewhere += bool(pinned)
+            if feasible(sys_).feasible:
+                assert affine_dim(sys_) == _unit_row_dim(sys_, pins)
+        assert pinned_somewhere > 200
+
+    def test_given_first_result_is_not_solved_again(self, monkeypatch):
+        import crnsiphon.lp as lp_module
+
+        sys_ = _simple(3, [([1, 1, 1], 1), ([1, -1, 0], 0)], nonneg=[0, 1, 2])
+        first = feasible(sys_)
+        calls = []
+        real = lp_module.feasible
+
+        def counted(system):
+            calls.append(system)
+            return real(system)
+
+        monkeypatch.setattr(lp_module, "feasible", counted)
+        assert affine_dim(sys_, first=first) == affine_dim(sys_) == 1
+        assert calls.count(sys_) == 1
+
+
+def _gate_corpus():
+    """Rational systems whose rows have different denominators, with the
+    answer `feasible` returns for each."""
+    rng = random.Random(43)
+
+    def q():
+        return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5, 7, 12)))
+
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 4)
+        rows = [([q() for _ in range(n)], q()) for _ in range(m)]
+        nonneg = [j for j in range(n) if rng.random() < 0.7]
+        zero = [j for j in range(n) if rng.random() < 0.15]
+        norm = [q() for _ in range(n)] if rng.random() < 0.4 else None
+        sys_ = _simple(n, rows, nonneg=nonneg, zero=zero, normalization=norm)
+        yield rng, sys_, feasible(sys_)
+
+
+class TestIntegerGate:
+    def test_accepts_what_the_fraction_gate_accepts(self):
+        kinds = set()
+        for _, sys_, res in _gate_corpus():
+            if res.feasible:
+                assert verify_witness(sys_, res.witness)
+                assert _reference_verify_witness(sys_, res.witness)
+            else:
+                assert verify_certificate(sys_, res.certificate)
+                assert _reference_verify_certificate(sys_, res.certificate)
+            kinds.add(res.feasible)
+        assert kinds == {True, False}
+
+    def test_perturbed_answers_get_the_fraction_gate_verdict(self):
+        rejected = {True: 0, False: 0}
+        for rng, sys_, res in _gate_corpus():
+            if res.feasible:
+                for w in _perturbations(rng, res.witness, sorted(sys_.zero)):
+                    verdict = _reference_verify_witness(sys_, w)
+                    assert verify_witness(sys_, w) == verdict
+                    rejected[True] += not verdict
+            else:
+                for y in _perturbations(rng, res.certificate, ()):
+                    verdict = _reference_verify_certificate(sys_, y)
+                    assert verify_certificate(sys_, y) == verdict
+                    rejected[False] += not verdict
+        assert rejected[True] > 500 and rejected[False] > 200
+
+    def test_scaled_certificate_and_wrong_lengths(self):
+        sys_ = _simple(2, [([F(1, 3), F(1, 2)], F(-1, 6))], nonneg=[0, 1])
+        res = feasible(sys_)
+        assert not res.feasible
+        for k in (F(1, 7), F(5), F(10**15, 3)):
+            assert verify_certificate(sys_, tuple(k * y for y in res.certificate))
+        assert not verify_certificate(sys_, tuple(-y for y in res.certificate))
+        assert not verify_certificate(sys_, res.certificate + (F(0),))
+        assert not verify_witness(sys_, (F(0),))

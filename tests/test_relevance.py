@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import RECEPTOR_LIGAND, grid_minors_network, grid_symmetries, random_network
-from crnsiphon.geometry import NotPointedError, build_cone
+from crnsiphon.geometry import InvariantPolytope, NotPointedError, build_cone, face_dimension
 from crnsiphon.linalg import conservation_basis, in_row_space
 from crnsiphon.lp import verify_certificate
 from crnsiphon.network import parse_network
@@ -281,10 +281,57 @@ class TestAnalyze:
         # once for the conservation basis, once for the LP rows of every siphon
         assert calls["stoichiometric_generators"] == 2
 
+    def test_minimal_siphons_are_not_rechecked(self, monkeypatch):
+        import crnsiphon.relevance as relevance_module
+
+        calls = []
+        real = relevance_module.is_siphon
+
+        def counted(net, members):
+            calls.append(tuple(members))
+            return real(net, members)
+
+        monkeypatch.setattr(relevance_module, "is_siphon", counted)
+        net = parse_network(RECEPTOR_LIGAND)
+        report = analyze(net, c0=OMEGA1)
+        assert len(report.siphons) == 3 and calls == []
+        assert len(relevant_minimal_siphons(net)) == 2 and calls == []
+        e = Siphon((net.species.index["E"],))
+        with pytest.raises(ValueError, match="siphons only"):
+            is_relevant(net, e)
+        with pytest.raises(ValueError, match="siphons only"):
+            is_c0_relevant(net, OMEGA1, e)
+        assert len(calls) == 2
+
+    def test_c0_face_lp_solved_once_per_siphon(self, grid5, monkeypatch):
+        import crnsiphon.lp as lp_module
+        import crnsiphon.relevance as relevance_module
+
+        ones = [F(1)] * 25
+        p = InvariantPolytope.from_network(grid5, ones)
+        faces = {p.face_system(z.members): z for z in minimal_siphons(grid5)}
+        solved = []
+        real = lp_module.feasible
+
+        def counted(system):
+            if system in faces:
+                solved.append(faces[system])
+            return real(system)
+
+        monkeypatch.setattr(lp_module, "feasible", counted)
+        monkeypatch.setattr(relevance_module, "feasible", counted)
+        report = analyze(grid5, c0=ones)
+        assert sorted(solved) == sorted(faces.values())
+        dims = [a.face_dim for a in report.siphons if a.c0_verdict.relevant]
+        assert len(dims) == 18 and sorted(set(dims)) == [0, 1, 3]
+        for a in report.siphons:
+            z = a.verdict.siphon
+            assert a.face_dim == face_dimension(p, z.members)
+
     def test_route_disagreement_is_an_internal_error(self, receptor_ligand, monkeypatch):
         import crnsiphon.relevance as relevance_module
 
-        real = relevance_module.is_relevant
+        real = relevance_module._lp_verdict
 
         def inverted(net, z):
             verdict = real(net, z)
@@ -294,7 +341,7 @@ class TestAnalyze:
                 route=verdict.route,
             )
 
-        monkeypatch.setattr(relevance_module, "is_relevant", inverted)
+        monkeypatch.setattr(relevance_module, "_lp_verdict", inverted)
         with pytest.raises(RouteDisagreementError):
             analyze(receptor_ligand)
 
