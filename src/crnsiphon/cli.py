@@ -41,10 +41,9 @@ from crnsiphon.network import ParseError, ReactionNetwork, canonical_text, parse
 from crnsiphon.relevance import (
     AnalysisReport,
     RouteDisagreementError,
+    _lp_verdict,
+    _start_verdict,
     analyze,
-    is_c0_relevant,
-    is_relevant,
-    omega_relevant,
 )
 from crnsiphon.siphons import (
     Budget,
@@ -464,8 +463,19 @@ def _cmd_relevance(net: ReactionNetwork, args, out) -> int:
     budget = _budget_from(args)
     c0 = _parse_c0(net, args)
     samples = _read_samples(args.omega, net) if args.omega else None
+    starts = ([c0] if c0 is not None else []) + (samples or [])
+    matrix = conservation_basis(net).matrix if starts else None
+    polytopes: dict[int, InvariantPolytope] = {}
+
+    def start_relevant(verdict, i: int) -> bool:
+        # built, and the start checked, on first use: a start no siphon
+        # reaches is never checked
+        if i not in polytopes:
+            polytopes[i] = InvariantPolytope(matrix, starts[i])
+        return _start_verdict(verdict, polytopes[i]).relevant
+
     for z in minimal_siphons(net, budget):
-        verdict = is_relevant(net, z)
+        verdict = _lp_verdict(net, z)
         line = f"{{{' '.join(z.names(net))}}}: " + (
             "relevant" if verdict.relevant else "not relevant"
         )
@@ -473,9 +483,13 @@ def _cmd_relevance(net: ReactionNetwork, args, out) -> int:
             law = " ".join(_frac_str(x) for x in verdict.conservation_law)
             line += f" [conservation law: {law}]"
         if c0 is not None:
-            line += f" [c0-relevant: {is_c0_relevant(net, c0, z).relevant}]"
+            line += f" [c0-relevant: {start_relevant(verdict, 0)}]"
         if samples is not None:
-            hit, idx = omega_relevant(net, samples, z)
+            first = len(starts) - len(samples)
+            idx = next(
+                (j for j in range(len(samples)) if start_relevant(verdict, first + j)), None
+            )
+            hit = idx is not None
             line += f" [sample-relevant: {hit}" + (f" via sample {idx}]" if hit else "]")
         print(line, file=out)
     return EXIT_OK

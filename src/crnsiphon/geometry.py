@@ -34,6 +34,7 @@ from crnsiphon.linalg import (
     RationalMatrix,
     SubspaceBasis,
     conservation_basis,
+    integer_row,
     normalize_integer_vector,
     nullspace_basis,
     row_reduce,
@@ -241,12 +242,22 @@ class InvariantPolytope:
     def vertex_supports(self) -> tuple[tuple[int, ...], ...]:
         return vertex_supports(self)
 
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each row ``[a_i | (A c0)_i]`` scaled to integers, once per
+        polytope; every face system shares them."""
+        scaled = (integer_row(row + (b,)) for row, b in zip(self.matrix.entries, self.rhs))
+        return tuple((tuple(ints), scale) for ints, scale in scaled)
+
     def face_system(self, zero_set: Iterable[int]) -> LinearSystem:
-        return LinearSystem.build(
-            self.num_species,
-            eq_rows=list(zip(self.matrix.entries, self.rhs)),
-            nonneg=range(self.num_species),
-            zero=tuple(zero_set),
+        s = self.num_species
+        return LinearSystem(
+            s,
+            self.matrix.entries,
+            self.rhs,
+            frozenset(range(s)),
+            frozenset(zero_set),
+            scaled_rows=self.integer_rows,
         )
 
 

@@ -2,10 +2,12 @@
 
 The only solver exposed is phase-one simplex with Bland's anti-cycling
 rule, so every run terminates and every answer is exact.  It pivots on an
-integer tableau: each row's denominators are cleared once by a positive
-scale, and Edmonds/Bareiss pivots ``(x*piv - f*p) // det`` keep every
-entry an integer, the division always exact, so no Fraction is built
-inside the loop.  Signs and ratios are compared on integers by
+integer tableau: each row ``[a | b]`` of a system is scaled to integers
+once, when the system is made (``LinearSystem.integer_rows``; systems
+that share rows, such as the faces of one invariant polytope, share the
+scaled rows too), and Edmonds/Bareiss pivots ``(x*piv - f*p) // det``
+keep every entry an integer, the division always exact, so no Fraction
+is built inside the loop.  Signs and ratios are compared on integers by
 cross-multiplication; the pivot sequence is the one a Fraction tableau
 with the same rule would take.  A feasible system returns a basic
 feasible point; an infeasible one returns a Farkas certificate:
@@ -14,8 +16,8 @@ zero on free variables, non-positive on the variables constrained to be
 non-negative, yet has a positive right-hand side.  Both kinds of answer
 are mapped back to Fractions and re-verified before being returned, by
 :func:`verify_witness` and :func:`verify_certificate`: they test every
-row in integers after their own scaling and share no code with the
-pivots.
+row of the system in integers, scaling the answer themselves, and share
+no code with the pivots.
 
 Systems are stated as ``A x = b`` plus per-variable domains: each variable
 is free, constrained ``>= 0``, or pinned to ``0`` (pinning dominates).  An
@@ -33,9 +35,10 @@ over the columns left unpinned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from crnsiphon.linalg import RationalMatrix, integer_row, rank
@@ -50,18 +53,31 @@ __all__ = [
 ]
 
 Vec = tuple[Fraction, ...]
+IntRow = tuple[tuple[int, ...], int]  # (row * scale, scale), see integer_row
 
 
 @dataclass(frozen=True)
 class LinearSystem:
+    """``A x = b`` plus variable domains.
+
+    ``integer_rows`` holds every row ``[a | b]`` of :meth:`all_rows` scaled
+    to integers by :func:`~crnsiphon.linalg.integer_row`; the tableau build
+    and both verify gates read it.  It is derived from the rows when the
+    system is made, unless the maker passes those same rows already scaled
+    as ``scaled_rows`` (``InvariantPolytope.face_system`` scales its rows
+    once per polytope).  ``dataclasses.replace`` derives them afresh.
+    """
+
     num_vars: int
     eq_coeffs: tuple[Vec, ...]
     eq_rhs: Vec
     nonneg: frozenset[int]
     zero: frozenset[int]
     normalization: Vec | None = None  # extra row: normalization . x == 1
+    scaled_rows: InitVar[tuple[IntRow, ...] | None] = None
+    integer_rows: tuple[IntRow, ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, scaled_rows):
         if len(self.eq_coeffs) != len(self.eq_rhs):
             raise ValueError("row/rhs count mismatch")
         for row in self.eq_coeffs:
@@ -72,6 +88,13 @@ class LinearSystem:
         for i in self.nonneg | self.zero:
             if not 0 <= i < self.num_vars:
                 raise ValueError("variable index out of range")
+        coeffs, rhs = self.all_rows()
+        if scaled_rows is None:
+            scaled = (integer_row(row + (b,)) for row, b in zip(coeffs, rhs))
+            scaled_rows = tuple((tuple(ints), s) for ints, s in scaled)
+        elif len(scaled_rows) != len(coeffs):
+            raise ValueError("scaled row count does not match the rows")
+        object.__setattr__(self, "integer_rows", scaled_rows)
 
     @classmethod
     def build(
@@ -114,15 +137,14 @@ def verify_witness(system: LinearSystem, witness: Sequence[Fraction]) -> bool:
     """Exact check that the point satisfies every row and domain.
 
     Integer arithmetic only: the witness is scaled by one positive common
-    denominator ``d``, each row ``[a | b]`` by its own, and ``a . x == b``
-    is tested as ``a' . x' == b' * d``.
+    denominator ``d``, each row ``[a | b]`` is read scaled by its own
+    (``system.integer_rows``), and ``a . x == b`` is tested as
+    ``a' . x' == b' * d``.
     """
     if len(witness) != system.num_vars:
         return False
     x, d = integer_row(witness)
-    coeffs, rhs = system.all_rows()
-    for row, b in zip(coeffs, rhs):
-        ints, _ = integer_row(row + (b,))
+    for ints, _ in system.integer_rows:
         if sum(a * v for a, v in zip(ints, x) if a and v) != ints[-1] * d:
             return False
     for i in range(system.num_vars):
@@ -138,16 +160,16 @@ def verify_certificate(system: LinearSystem, certificate: Sequence[Fraction]) ->
     """Exact check that the multipliers prove infeasibility.
 
     Integer arithmetic only: the certificate is scaled by one positive
-    common denominator, each row ``[a | b]`` by its own ``s_i``, and the
+    common denominator, each row ``[a | b]`` is read scaled by its own
+    ``s_i`` (``system.integer_rows``), and the
     multiplier of row i by ``lcm(s) / s_i`` to undo that; the combined row
     is then a positive multiple of ``sum_i y_i [a_i | b_i]``, so every sign
     it is tested for is the rational one.
     """
-    coeffs, rhs = system.all_rows()
-    if len(certificate) != len(coeffs):
+    scaled = system.integer_rows
+    if len(certificate) != len(scaled):
         return False
     y, _ = integer_row(certificate)
-    scaled = [integer_row(row + (b,)) for row, b in zip(coeffs, rhs)]
     common = lcm(*(s for _, s in scaled))
     n = system.num_vars
     combined = [0] * (n + 1)
@@ -172,8 +194,8 @@ def verify_certificate(system: LinearSystem, certificate: Sequence[Fraction]) ->
 
 def feasible(system: LinearSystem) -> FeasibilityResult:
     """Decide feasibility; the returned witness/certificate re-verifies."""
-    coeffs, rhs = system.all_rows()
-    m = len(coeffs)
+    rows = system.integer_rows
+    m = len(rows)
 
     # Internal columns: one per non-negative variable, a split pair per
     # free variable; pinned variables are dropped entirely.
@@ -187,20 +209,18 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
     k = len(col_map)
     ncols = k + m
 
-    # Integer rows: each row is multiplied by its rhs sign and a positive
-    # scale clearing its denominators; the artificial column keeps entry 1,
+    # Integer rows: each row scaled to integers (``system.integer_rows``)
+    # and multiplied by its rhs sign; the artificial column keeps entry 1,
     # so artificial i stands for scale_i times the artificial of row i.
-    col_signs = [s for _, s in col_map] + [1]
     tab: list[list[int]] = []
     flips: list[int] = []
     scales: list[int] = []
-    for i in range(m):
-        sign = -1 if rhs[i] < 0 else 1
-        entries = [coeffs[i][v] for v, _ in col_map]
-        entries.append(rhs[i])
-        ints, scale = integer_row(entries)
-        row = [sign * s * x for s, x in zip(col_signs, ints)]
-        row[k:k] = [1 if t == i else 0 for t in range(m)]
+    for i, (ints, scale) in enumerate(rows):
+        sign = -1 if ints[-1] < 0 else 1
+        row = [sign * s * ints[v] for v, s in col_map]
+        row += [0] * m
+        row[k + i] = 1
+        row.append(sign * ints[-1])
         tab.append(row)
         flips.append(sign)
         scales.append(scale)
@@ -213,7 +233,7 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
     # are those of the same phase one run on the unscaled rows.
     big = lcm(*scales)
     weights = [big // sc for sc in scales]
-    obj = [-sum(w * row[j] for w, row in zip(weights, tab)) for j in range(ncols + 1)]
+    obj = [-sum(map(mul, weights, col)) for col in zip(*tab)] if m else [0] * (ncols + 1)
     for i in range(m):
         obj[k + i] += weights[i]
 
@@ -262,8 +282,9 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
     # Multiplier of row i is 1 - (reduced cost of its original artificial),
     # and that reduced cost is scale_i * obj[k+i] / (big * det); the sign
     # flip returns it to the original row orientation.
+    scaled_det = big * det
     cert = tuple(
-        flips[i] * (1 - Fraction(scales[i] * obj[k + i], big * det)) for i in range(m)
+        Fraction(flips[i] * (scaled_det - scales[i] * obj[k + i]), scaled_det) for i in range(m)
     )
     if not verify_certificate(system, cert):
         raise AssertionError("internal error: certificate failed exact re-verification")
@@ -283,19 +304,25 @@ def _bareiss_update(row: list[int], prow: list[int], col: int, piv: int, det: in
 def _homogenized_probe(system: LinearSystem, support: Sequence[int]) -> LinearSystem:
     """System deciding whether some coordinate in `support` is positive
     somewhere on the (nonempty) feasible set: homogenize with a ray
-    variable t >= 0 and normalize the sum over `support` to 1."""
+    variable t >= 0 and normalize the sum over `support` to 1.
+
+    Each row ``[a | b]`` becomes ``[a, -b | 0]``, so its scaled integer row
+    is the system's with the same scale."""
     coeffs, rhs = system.all_rows()
     n = system.num_vars
-    rows = [(row + (-b,), Fraction(0)) for row, b in zip(coeffs, rhs)]
-    norm = [Fraction(0)] * (n + 1)
-    for j in support:
-        norm[j] = Fraction(1)
-    return LinearSystem.build(
+    zero, one = Fraction(0), Fraction(1)
+    inside = set(support)
+    norm = tuple(one if j in inside else zero for j in range(n + 1))
+    scaled = tuple((ints[:-1] + (-ints[-1], 0), s) for ints, s in system.integer_rows)
+    scaled += ((tuple(1 if j in inside else 0 for j in range(n + 1)) + (1,), 1),)
+    return LinearSystem(
         n + 1,
-        eq_rows=rows,
-        nonneg=tuple(system.nonneg) + (n,),
-        zero=tuple(system.zero),
-        normalization=norm,
+        tuple(row + (-b,) for row, b in zip(coeffs, rhs)),
+        (zero,) * len(coeffs),
+        system.nonneg | {n},
+        system.zero,
+        norm,
+        scaled,
     )
 
 

@@ -167,11 +167,15 @@ class ReactionNetwork:
         return _complex_graph_connectivity(self)
 
     @cached_property
+    def integer_net_changes(self) -> tuple[tuple[int, ...], ...]:
+        """Distinct net change vectors in order of first reaction."""
+        return tuple(dict.fromkeys(stoichiometric_generators(self)))
+
+    @cached_property
     def distinct_net_changes(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Distinct net change vectors in order of first reaction, as exact
-        rationals (the equality rows of every conservation-law LP)."""
-        gens = dict.fromkeys(stoichiometric_generators(self))
-        return tuple(tuple(Fraction(x) for x in v) for v in gens)
+        """:attr:`integer_net_changes` as exact rationals (the equality rows
+        of every conservation-law LP)."""
+        return tuple(tuple(Fraction(x) for x in v) for v in self.integer_net_changes)
 
     def reaction_text(self, reaction_index: int) -> str:
         r = self.reactions[reaction_index]

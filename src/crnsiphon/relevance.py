@@ -30,10 +30,14 @@ from crnsiphon.geometry import (
     InvariantPolytope,
     NotPointedError,
     build_cone,
-    face_dimension,
 )
-from crnsiphon.linalg import SubspaceBasis, conservation_basis, normalize_integer_vector
-from crnsiphon.lp import FeasibilityResult, LinearSystem, feasible
+from crnsiphon.linalg import (
+    SubspaceBasis,
+    conservation_basis,
+    integer_row,
+    normalize_integer_vector,
+)
+from crnsiphon.lp import FeasibilityResult, LinearSystem, affine_dim, feasible
 from crnsiphon.network import (
     ConnectivityInfo,
     ReactionNetwork,
@@ -77,19 +81,24 @@ class RelevanceVerdict:
 
 def supported_conservation_system(net: ReactionNetwork, members: Iterable[int]) -> LinearSystem:
     """LP asking for a non-negative conservation law supported inside Z,
-    normalized to total mass 1 on Z so the zero law does not qualify."""
-    z = sorted(set(members))
+    normalized to total mass 1 on Z so the zero law does not qualify.
+
+    The net changes are integer vectors, so the rows come already scaled
+    (by 1) and are not integerized again for every siphon."""
+    z = frozenset(members)
     s = net.num_species
-    rows = [(g, 0) for g in net.distinct_net_changes]
-    norm = [Fraction(0)] * s
-    for i in z:
-        norm[i] = Fraction(1)
-    return LinearSystem.build(
+    zero, one = Fraction(0), Fraction(1)
+    rows = net.distinct_net_changes
+    scaled = tuple((v + (0,), 1) for v in net.integer_net_changes)
+    scaled += ((tuple(1 if i in z else 0 for i in range(s)) + (1,), 1),)
+    return LinearSystem(
         s,
-        eq_rows=rows,
+        rows,
+        (zero,) * len(rows),
         nonneg=z,
-        zero=[i for i in range(s) if i not in set(z)],
-        normalization=norm,
+        zero=frozenset(range(s)) - z,
+        normalization=tuple(one if i in z else zero for i in range(s)),
+        scaled_rows=scaled,
     )
 
 
@@ -134,6 +143,30 @@ def _face_verdict(siphon: Siphon, result: FeasibilityResult) -> RelevanceVerdict
     return RelevanceVerdict(siphon, False, "face_lp", certificate=result.certificate)
 
 
+def _law_verdict(verdict: RelevanceVerdict, polytope: InvariantPolytope) -> RelevanceVerdict:
+    """Relevance for one start of a siphon whose conservation-LP verdict is
+    non-relevant, decided by that verdict's law.
+
+    The law w >= 0 is conserved and supported inside Z, so ``w . x`` equals
+    ``w . c0`` on the whole polytope and 0 on the face ``x_Z = 0``; the
+    face is empty once ``w . c0 > 0``, which is checked in integers.
+    """
+    law = verdict.conservation_law
+    c0, _ = integer_row(polytope.c0)
+    if sum(w.numerator * x for w, x in zip(law, c0) if w) <= 0:
+        raise AssertionError("internal error: conservation law vanishes at the start")
+    return RelevanceVerdict(verdict.siphon, False, "conservation_lp", conservation_law=law)
+
+
+def _start_verdict(verdict: RelevanceVerdict, polytope: InvariantPolytope) -> RelevanceVerdict:
+    """Relevance for one start, given the siphon's conservation-LP verdict:
+    its law when it has one, else the face LP."""
+    if verdict.conservation_law is not None:
+        return _law_verdict(verdict, polytope)
+    z = verdict.siphon
+    return _face_verdict(z, feasible(polytope.face_system(z.members)))
+
+
 def is_c0_relevant(net: ReactionNetwork, c0: Sequence, siphon: Siphon) -> RelevanceVerdict:
     """Relevance for one initial condition: is the face x_Z = 0 of the
     invariant polytope of c0 non-empty?"""
@@ -150,8 +183,12 @@ def omega_relevant(
     sample, or None.  The sampled starts stand in for a whole region."""
     if not samples:
         raise ValueError("at least one sample initial condition is required")
+    if not is_siphon(net, siphon.members):
+        raise ValueError("relevance is defined for siphons only")
+    matrix = conservation_basis(net).matrix
     for idx, c0 in enumerate(samples):
-        if is_c0_relevant(net, c0, siphon).relevant:
+        polytope = InvariantPolytope(matrix, _positive_vec(c0))
+        if feasible(polytope.face_system(siphon.members)).feasible:
             return True, idx
     return False, None
 
@@ -242,8 +279,10 @@ def analyze(
     pointed the facet route runs as a cross-check and a disagreement raises
     :class:`RouteDisagreementError`.  With ``c0`` the per-start relevance
     and face dimensions are added; with ``omega_samples`` the per-sample
-    pattern is added.  A budget overrun degrades to a partial,
-    non-exhaustive report instead of failing.
+    pattern is added.  A globally non-relevant siphon is non-relevant at
+    every positive start: its law decides that without a face LP.  A
+    budget overrun degrades to a partial, non-exhaustive report instead of
+    failing.
     """
     timings: dict[str, float] = {}
     t0 = time.monotonic()
@@ -292,16 +331,20 @@ def analyze(
         c0_verdict = None
         dim = None
         if polytope is not None:
-            face = feasible(polytope.face_system(z.members))
-            c0_verdict = _face_verdict(z, face)
-            if face.feasible:
-                dim = face_dimension(polytope, z.members, first=face)
+            if verdict.relevant:
+                system = polytope.face_system(z.members)
+                face = feasible(system)
+                c0_verdict = _face_verdict(z, face)
+                if face.feasible:
+                    dim = affine_dim(system, first=face)
+            else:
+                c0_verdict = _law_verdict(verdict, polytope)
         hits = None
         if sample_polytopes is not None:
             hits = tuple(
                 idx
                 for idx, sample in enumerate(sample_polytopes)
-                if feasible(sample.face_system(z.members)).feasible
+                if _start_verdict(verdict, sample).relevant
             )
         return SiphonAnalysis(verdict, facet_verdict, c0_verdict, dim, hits)
 

@@ -6,8 +6,9 @@ live here:
 
 * ``brute_force_minimal_siphons`` — the oracle: filter all subsets.
 * ``minimal_siphons(method="search")`` — depth-first search that repairs
-  one violated production clause at a time, pruning branches that contain
-  a previously found siphon, with a final inclusion-minimality pass.
+  one violated production clause at a time; each leaf siphon is shrunk to
+  a minimal one before it is recorded, and branches that contain a
+  recorded siphon are pruned.
 * ``minimal_siphons(method="transversal")`` — for strongly connected
   networks the minimal siphons are exactly the minimal transversals of the
   complex supports, so the hypergraph dualizer below applies.
@@ -604,7 +605,52 @@ def brute_force_minimal_siphons(net: ReactionNetwork) -> list[Siphon]:
     return _sorted_siphons(_minimal_filter(siphon_masks))
 
 
+def _largest_siphon_in(z: int, masks: list[tuple[int, int]]) -> int:
+    """Largest siphon inside the species mask ``z`` (0 when there is none).
+
+    Siphons are closed under union, so the largest one exists; it is the
+    fixpoint of dropping every species that a reaction produces while
+    consuming nothing left in the set.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for reac, prod in masks:
+            if prod & z and not reac & z:
+                z &= ~prod
+                changed = True
+    return z
+
+
+def _shrink_to_minimal(z: int, masks: list[tuple[int, int]]) -> int:
+    """A minimal siphon inside the siphon ``z``.
+
+    Each member v is tried once: z moves to the largest siphon inside z
+    without v when that is non-empty.  A member whose try fails stays
+    necessary for every smaller siphon, so one pass leaves a siphon from
+    which no member can be dropped.
+    """
+    rest = z
+    while rest:
+        vbit = rest & -rest
+        rest &= rest - 1
+        if z & vbit:
+            inner = _largest_siphon_in(z & ~vbit, masks)
+            if inner:
+                z = inner
+    return z
+
+
 def _search_minimal_siphons(net: ReactionNetwork, budget: Budget | None) -> list[int]:
+    """Minimal siphons as species masks, in the order they are found.
+
+    Depth-first from each seed species, adding one reactant of a violated
+    production clause at a time (only species past the seed, so each
+    minimal siphon is reached from its least member).  A leaf is a siphon,
+    shrunk to a minimal one before it is recorded, so ``found`` holds only
+    minimal siphons and a node containing one of them is pruned: no other
+    minimal siphon lies below it.
+    """
     s = net.num_species
     masks = _reaction_masks(net)
     clock = _BudgetClock(budget)
@@ -631,8 +677,8 @@ def _search_minimal_siphons(net: ReactionNetwork, budget: Budget | None) -> list
                     if c == 1:
                         break
         if best is None:
-            found.append(z)
             clock.note_result()
+            found.append(_shrink_to_minimal(z, masks))
             return
         branch = best
         while branch:
@@ -645,10 +691,8 @@ def _search_minimal_siphons(net: ReactionNetwork, budget: Budget | None) -> list
             allowed = ~((1 << seed) - 1)
             rec(1 << seed, allowed, set())
     except _BudgetSignal as sig:
-        raise BudgetExceededError(
-            str(sig), _sorted_siphons(_minimal_filter(found))
-        ) from None
-    return _minimal_filter(found)
+        raise BudgetExceededError(str(sig), _sorted_siphons(found)) from None
+    return found
 
 
 def complex_support_hypergraph(net: ReactionNetwork) -> Hypergraph:

@@ -166,6 +166,39 @@ class TestRelevanceCommand:
         assert "{C D E}: not relevant" in out
 
 
+    def test_enumerated_siphons_are_not_rechecked(self, tmp_path, monkeypatch):
+        import crnsiphon.cli as cli_module
+        import crnsiphon.relevance as relevance_module
+        from conftest import grid_minors_network
+        from crnsiphon.network import canonical_text
+
+        calls = []
+        bases = []
+        real_is_siphon = relevance_module.is_siphon
+        real_basis = cli_module.conservation_basis
+
+        def counted(net, members):
+            calls.append(tuple(members))
+            return real_is_siphon(net, members)
+
+        def counted_basis(net):
+            bases.append(net)
+            return real_basis(net)
+
+        monkeypatch.setattr(relevance_module, "is_siphon", counted)
+        monkeypatch.setattr(cli_module, "conservation_basis", counted_basis)
+        path = tmp_path / "grid5.crn"
+        path.write_text(canonical_text(grid_minors_network(5)))
+        ones = ",".join(["1"] * 25)
+        omega = tmp_path / "omega.txt"
+        omega.write_text(",".join(["1"] * 12 + ["1/2"] + ["1"] * 12) + "\n" + ones + "\n")
+        code, out, _ = invoke(["relevance", "--c0", ones, "--omega", str(omega), str(path)])
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 28
+        assert out.count("[c0-relevant: True]") == 18
+        assert calls == [] and len(bases) == 1
+
+
 class TestAnalyzeCommand:
     def test_json_schema_and_round_trip(self, receptor_file):
         code, out, _ = invoke(["analyze", "--c0", "1,1,1,1,1", receptor_file])

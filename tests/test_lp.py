@@ -487,3 +487,49 @@ class TestIntegerGate:
         assert not verify_certificate(sys_, tuple(-y for y in res.certificate))
         assert not verify_certificate(sys_, res.certificate + (F(0),))
         assert not verify_witness(sys_, (F(0),))
+
+
+class TestSharedIntegerRows:
+    def test_face_systems_share_the_polytope_rows(self, receptor_ligand):
+        from crnsiphon.geometry import InvariantPolytope
+        from crnsiphon.linalg import integer_row
+
+        p = InvariantPolytope.from_network(receptor_ligand, [F(1, 10), F(1, 10), 1, F(1, 3), 2])
+        a, b = p.face_system((0, 1)), p.face_system((2,))
+        assert a.integer_rows is p.integer_rows is b.integer_rows
+        coeffs, rhs = a.all_rows()
+        assert [list(ints) for ints, _ in a.integer_rows] == [
+            integer_row(row + (r,))[0] for row, r in zip(coeffs, rhs)
+        ]
+
+    def test_gate_rejects_tampered_answers_on_shared_rows(self, receptor_ligand):
+        from crnsiphon.geometry import InvariantPolytope
+        from crnsiphon.siphons import minimal_siphons
+
+        p = InvariantPolytope.from_network(receptor_ligand, [F(1, 10), F(1, 10), 1, F(1, 3), 2])
+        kinds = set()
+        for z in minimal_siphons(receptor_ligand):
+            for zero in ((), z.members):
+                sys_ = p.face_system(zero)
+                res = feasible(sys_)
+                kinds.add(res.feasible)
+                if res.feasible:
+                    w = res.witness
+                    assert verify_witness(sys_, w)
+                    for j in range(len(w)):
+                        bumped = w[:j] + (w[j] + F(1, 7),) + w[j + 1:]
+                        assert not verify_witness(sys_, bumped)
+                else:
+                    y = res.certificate
+                    assert verify_certificate(sys_, y)
+                    assert not verify_certificate(sys_, tuple(-v for v in y))
+                    assert not verify_certificate(sys_, (F(0),) * len(y))
+        assert kinds == {True, False}
+
+    def test_replace_derives_the_rows_again(self):
+        from dataclasses import replace
+
+        sys_ = _simple(2, [([F(1, 2), F(1, 3)], F(1))], nonneg=[0, 1])
+        moved = replace(sys_, eq_rhs=(F(-1),))
+        assert moved.integer_rows == (((3, 2, -6), 6),)
+        assert not feasible(moved).feasible

@@ -321,7 +321,17 @@ class TestAnalyze:
         monkeypatch.setattr(lp_module, "feasible", counted)
         monkeypatch.setattr(relevance_module, "feasible", counted)
         report = analyze(grid5, c0=ones)
-        assert sorted(solved) == sorted(faces.values())
+        # the face LP runs once for each globally relevant siphon; a
+        # non-relevant one is decided by its conservation law
+        relevant = [a.verdict.siphon for a in report.siphons if a.verdict.relevant]
+        assert len(relevant) == 18
+        assert sorted(solved) == sorted(relevant)
+        for a in report.siphons:
+            if not a.verdict.relevant:
+                law = a.c0_verdict.conservation_law
+                assert a.c0_verdict.route == "conservation_lp" and not a.c0_verdict.relevant
+                assert law == a.verdict.conservation_law
+                assert sum(w * x for w, x in zip(law, ones)) > 0
         dims = [a.face_dim for a in report.siphons if a.c0_verdict.relevant]
         assert len(dims) == 18 and sorted(set(dims)) == [0, 1, 3]
         for a in report.siphons:

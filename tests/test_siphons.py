@@ -180,6 +180,17 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError):
             minimal_siphons(futile_cycle, Budget(max_results=1), method="search")
 
+    def test_search_partial_holds_only_minimal_siphons(self, grid5):
+        # grid5 has exactly 28 minimal siphons and takes the search route
+        full = minimal_siphons(grid5, method="search")
+        assert len(full) == 28
+        assert minimal_siphons(grid5, Budget(max_results=28), method="search") == full
+        with pytest.raises(BudgetExceededError) as exc:
+            minimal_siphons(grid5, Budget(max_results=27), method="search")
+        partial = exc.value.partial
+        assert len(partial) == 27
+        assert set(partial) <= set(full)
+
     def test_brute_force_guard(self):
         net = chain_network(23)
         with pytest.raises(ValueError, match="limited to"):
@@ -432,6 +443,27 @@ class TestMinimalSiphonCounts:
             minimal_siphon_counts(net, Budget(max_results=3))
         assert exc.value.partial.by_size[1] == 1
         assert exc.value.partial.total > 3
+
+
+class TestLeafShrink:
+    def test_shrinks_every_siphon_to_a_minimal_one_inside_it(self):
+        from crnsiphon.siphons import _reaction_masks, _shrink_to_minimal
+
+        rng = random.Random(8)
+        shrunk = 0
+        for _ in range(150):
+            net = random_network(rng, max_species=7)
+            masks = _reaction_masks(net)
+            minimal = {
+                sum(1 << i for i in z.members) for z in brute_force_minimal_siphons(net)
+            }
+            for z in range(1, 1 << net.num_species):
+                if any(prod & z and not reac & z for reac, prod in masks):
+                    continue
+                m = _shrink_to_minimal(z, masks)
+                assert m in minimal and m & z == m
+                shrunk += m != z
+        assert shrunk > 1000
 
 
 class TestGridNetworks:
