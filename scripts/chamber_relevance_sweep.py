@@ -2,9 +2,10 @@
 """Exploratory sweep: how many relevant minimal siphons of the 5x5
 adjacent-minors network stay relevant for a randomly sampled start?
 
-Samples random positive initial conditions (exact rationals), computes the
-per-start relevant subset of the globally relevant minimal siphons, and
-reports which counts occur.  Not part of the test suite; run it directly:
+Samples random positive initial conditions (exact rationals), runs one
+``analyze`` over all of them, counts for each start the minimal siphons
+relevant there (only globally relevant ones can be), and reports which
+counts occur.  Run it directly:
 
     python scripts/chamber_relevance_sweep.py [num_samples] [seed]
 """
@@ -17,8 +18,7 @@ from collections import Counter
 from fractions import Fraction
 
 from crnsiphon.network import parse_network
-from crnsiphon.relevance import is_c0_relevant, is_relevant
-from crnsiphon.siphons import minimal_siphons
+from crnsiphon.relevance import analyze
 
 
 def grid_minors_network(n: int):
@@ -37,16 +37,16 @@ def main() -> None:
     rng = random.Random(seed)
 
     net = grid_minors_network(5)
-    relevant = [z for z in minimal_siphons(net) if is_relevant(net, z).relevant]
-    print(f"globally relevant minimal siphons: {len(relevant)}")
+    starts = [
+        [Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(25)]
+        for _ in range(samples)
+    ]
+    report = analyze(net, omega_samples=starts)
+    relevant = sum(1 for a in report.siphons if a.verdict.relevant)
+    print(f"globally relevant minimal siphons: {relevant}")
 
-    counts: Counter[int] = Counter()
-    for k in range(samples):
-        c0 = [Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(25)]
-        hits = sum(1 for z in relevant if is_c0_relevant(net, c0, z).relevant)
-        counts[hits] += 1
-        if (k + 1) % 20 == 0:
-            print(f"  {k + 1}/{samples} samples done")
+    hits: Counter[int] = Counter(k for a in report.siphons for k in a.omega_hits or ())
+    counts = Counter(hits[k] for k in range(samples))
 
     print("relevant-count distribution over sampled starts:")
     for count in sorted(counts):

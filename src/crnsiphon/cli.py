@@ -6,7 +6,7 @@ Subcommands::
     siphons           minimal siphons (list, count, histogram, brute force)
     facets            facets of the cone of conserved quantities
     vertices          vertex supports of the invariant polytope of --c0
-    relevance         per-siphon relevance verdicts (global / --c0 / --omega)
+    relevance         per-siphon lines of the analyze report (global / --c0 / --omega)
     face-dim          dimension of the face x_Z = 0 for --c0 and --siphon
     analyze           full report (text or JSON)
     ode               mass-action right-hand side for rates from --kappa
@@ -30,7 +30,7 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from crnsiphon import __version__
 from crnsiphon.casexport import FLAVORS, export_cas_script
@@ -38,13 +38,7 @@ from crnsiphon.dynamics import MassActionSystem, build_rhs, check_face_invarianc
 from crnsiphon.geometry import InvariantPolytope, NotPointedError, build_cone, face_dimension
 from crnsiphon.linalg import conservation_basis
 from crnsiphon.network import ParseError, ReactionNetwork, canonical_text, parse_network
-from crnsiphon.relevance import (
-    AnalysisReport,
-    RouteDisagreementError,
-    _lp_verdict,
-    _start_verdict,
-    analyze,
-)
+from crnsiphon.relevance import AnalysisReport, RouteDisagreementError, analyze
 from crnsiphon.siphons import (
     Budget,
     BudgetExceededError,
@@ -110,19 +104,25 @@ def _parse_c0(net: ReactionNetwork, args) -> tuple[Fraction, ...] | None:
     return None
 
 
-def _read_samples(path: str, net: ReactionNetwork) -> list[tuple[Fraction, ...]]:
-    samples = []
+def _data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of a data file that is not blank
+    once its ``#`` comment is stripped."""
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = [p for p in line.split(",") if p.strip()]
-            if len(parts) != net.num_species:
-                raise UsageError(
-                    f"{path}:{line_no}: expected {net.num_species} values, got {len(parts)}"
-                )
-            samples.append(tuple(_parse_fraction(p) for p in parts))
+            if line:
+                yield line_no, line
+
+
+def _read_samples(path: str, net: ReactionNetwork) -> list[tuple[Fraction, ...]]:
+    samples = []
+    for line_no, line in _data_lines(path):
+        parts = [p for p in line.split(",") if p.strip()]
+        if len(parts) != net.num_species:
+            raise UsageError(
+                f"{path}:{line_no}: expected {net.num_species} values, got {len(parts)}"
+            )
+        samples.append(tuple(_parse_fraction(p) for p in parts))
     if not samples:
         raise UsageError(f"{path}: no sample initial conditions found")
     return samples
@@ -130,23 +130,19 @@ def _read_samples(path: str, net: ReactionNetwork) -> list[tuple[Fraction, ...]]
 
 def _read_kappa(path: str, net: ReactionNetwork) -> tuple[Fraction, ...]:
     rates: dict[int, Fraction] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise UsageError(f"{path}:{line_no}: expected 'reaction_index rate'")
-            try:
-                idx = int(parts[0])
-            except ValueError:
-                raise UsageError(f"{path}:{line_no}: bad reaction index {parts[0]!r}") from None
-            if not 0 <= idx < len(net.reactions):
-                raise UsageError(f"{path}:{line_no}: reaction index {idx} out of range")
-            if idx in rates:
-                raise UsageError(f"{path}:{line_no}: reaction {idx} assigned twice")
-            rates[idx] = _parse_fraction(parts[1])
+    for line_no, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise UsageError(f"{path}:{line_no}: expected 'reaction_index rate'")
+        try:
+            idx = int(parts[0])
+        except ValueError:
+            raise UsageError(f"{path}:{line_no}: bad reaction index {parts[0]!r}") from None
+        if not 0 <= idx < len(net.reactions):
+            raise UsageError(f"{path}:{line_no}: reaction index {idx} out of range")
+        if idx in rates:
+            raise UsageError(f"{path}:{line_no}: reaction {idx} assigned twice")
+        rates[idx] = _parse_fraction(parts[1])
     missing = [i for i in range(len(net.reactions)) if i not in rates]
     if missing:
         raise UsageError(f"{path}: missing rates for reactions {missing}")
@@ -155,18 +151,14 @@ def _read_kappa(path: str, net: ReactionNetwork) -> tuple[Fraction, ...]:
 
 def _read_permutations(path: str, net: ReactionNetwork) -> list[dict[int, int]]:
     perms = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            names = line.replace(",", " ").split()
-            if sorted(names) != sorted(net.species.names):
-                raise UsageError(
-                    f"{path}:{line_no}: a permutation must list every species exactly once"
-                )
-            idx = net.species.index
-            perms.append({i: idx[names[i]] for i in range(net.num_species)})
+    idx = net.species.index
+    for line_no, line in _data_lines(path):
+        names = line.replace(",", " ").split()
+        if sorted(names) != sorted(net.species.names):
+            raise UsageError(
+                f"{path}:{line_no}: a permutation must list every species exactly once"
+            )
+        perms.append({i: idx[names[i]] for i in range(net.num_species)})
     if not perms:
         raise UsageError(f"{path}: no permutations found")
     return perms
@@ -391,7 +383,6 @@ def build_arg_parser() -> _Parser:
     p.add_argument("--count-only", action="store_true", help="print the total only")
     p.add_argument("--histogram", action="store_true", help="print total plus per-size counts")
     p.add_argument("--brute-force", action="store_true", help="use the subset-enumeration oracle")
-    p.add_argument("--method", choices=("auto", "search", "transversal"), default="auto")
     p.add_argument("--budget-ms", type=int, default=None)
     p.add_argument("--max-results", type=int, default=None)
 
@@ -442,55 +433,46 @@ def _cmd_siphons(net: ReactionNetwork, args, out) -> int:
             found = brute_force_minimal_siphons(net)
             total, by_size = len(found), Counter(len(z.members) for z in found)
         else:
-            tally = minimal_siphon_counts(net, budget, method=args.method)
+            tally = minimal_siphon_counts(net, budget)
             total, by_size = tally.total, tally.by_size
         print(f"total {total}", file=out)
         if args.histogram:
             for size in sorted(by_size):
                 print(f"{size} {by_size[size]}", file=out)
         return EXIT_OK
-    found = (
-        brute_force_minimal_siphons(net)
-        if args.brute_force
-        else minimal_siphons(net, budget, method=args.method)
-    )
+    found = brute_force_minimal_siphons(net) if args.brute_force else minimal_siphons(net, budget)
     for z in found:
         print(" ".join(z.names(net)), file=out)
     return EXIT_OK
 
 
 def _cmd_relevance(net: ReactionNetwork, args, out) -> int:
-    budget = _budget_from(args)
-    c0 = _parse_c0(net, args)
-    samples = _read_samples(args.omega, net) if args.omega else None
-    starts = ([c0] if c0 is not None else []) + (samples or [])
-    matrix = conservation_basis(net).matrix if starts else None
-    polytopes: dict[int, InvariantPolytope] = {}
-
-    def start_relevant(verdict, i: int) -> bool:
-        # built, and the start checked, on first use: a start no siphon
-        # reaches is never checked
-        if i not in polytopes:
-            polytopes[i] = InvariantPolytope(matrix, starts[i])
-        return _start_verdict(verdict, polytopes[i]).relevant
-
-    for z in minimal_siphons(net, budget):
-        verdict = _lp_verdict(net, z)
-        line = f"{{{' '.join(z.names(net))}}}: " + (
+    """One line per minimal siphon of the ``analyze`` report."""
+    report = analyze(
+        net,
+        c0=_parse_c0(net, args),
+        omega_samples=_read_samples(args.omega, net) if args.omega else None,
+        budget=_budget_from(args),
+    )
+    if not report.exhaustive:
+        raise BudgetExceededError(
+            "siphon enumeration did not finish", [a.verdict.siphon for a in report.siphons]
+        )
+    for a in report.siphons:
+        verdict = a.verdict
+        line = f"{{{' '.join(verdict.siphon.names(net))}}}: " + (
             "relevant" if verdict.relevant else "not relevant"
         )
         if verdict.conservation_law is not None:
             law = " ".join(_frac_str(x) for x in verdict.conservation_law)
             line += f" [conservation law: {law}]"
-        if c0 is not None:
-            line += f" [c0-relevant: {start_relevant(verdict, 0)}]"
-        if samples is not None:
-            first = len(starts) - len(samples)
-            idx = next(
-                (j for j in range(len(samples)) if start_relevant(verdict, first + j)), None
+        if a.c0_verdict is not None:
+            line += f" [c0-relevant: {a.c0_verdict.relevant}]"
+        if a.omega_hits is not None:
+            hit = bool(a.omega_hits)
+            line += f" [sample-relevant: {hit}" + (
+                f" via sample {a.omega_hits[0]}]" if hit else "]"
             )
-            hit = idx is not None
-            line += f" [sample-relevant: {hit}" + (f" via sample {idx}]" if hit else "]")
         print(line, file=out)
     return EXIT_OK
 

@@ -39,7 +39,7 @@ from crnsiphon.linalg import (
     nullspace_basis,
     row_reduce,
 )
-from crnsiphon.lp import FeasibilityResult, LinearSystem, affine_dim, feasible
+from crnsiphon.lp import LinearSystem, affine_dim, feasible
 from crnsiphon.network import ReactionNetwork
 
 __all__ = [
@@ -285,15 +285,9 @@ def face_nonempty(p: InvariantPolytope, zero_set: Iterable[int]) -> Vec | None:
     return result.witness if result.feasible else None
 
 
-def face_dimension(
-    p: InvariantPolytope, zero_set: Iterable[int], *, first: FeasibilityResult | None = None
-) -> int | None:
-    """Affine dimension of the face, or None when it is empty.
-
-    ``first`` is :func:`feasible`'s result for ``p.face_system(zero_set)``
-    when the caller already solved it.
-    """
-    return affine_dim(p.face_system(zero_set), first=first)
+def face_dimension(p: InvariantPolytope, zero_set: Iterable[int]) -> int | None:
+    """Affine dimension of the face, or None when it is empty."""
+    return affine_dim(p.face_system(zero_set))
 
 
 def chamber_signature(net: ReactionNetwork, c0: Sequence) -> tuple[tuple[int, ...], ...]:

@@ -20,7 +20,7 @@ a boundary steady state.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -320,14 +320,7 @@ def analyze(
                     f"relevance routes disagree on {z.names(net)}: "
                     f"conservation_lp={verdict.relevant}, facet={facet_verdict.relevant}"
                 )
-            verdict = RelevanceVerdict(
-                siphon=verdict.siphon,
-                relevant=verdict.relevant,
-                route=verdict.route,
-                conservation_law=verdict.conservation_law,
-                certificate=verdict.certificate,
-                cross_checked=True,
-            )
+            verdict = replace(verdict, cross_checked=True)
         c0_verdict = None
         dim = None
         if polytope is not None:

@@ -5,13 +5,16 @@ species of Z already consumes some species of Z.  Three enumeration routes
 live here:
 
 * ``brute_force_minimal_siphons`` — the oracle: filter all subsets.
-* ``minimal_siphons(method="search")`` — depth-first search that repairs
-  one violated production clause at a time; each leaf siphon is shrunk to
-  a minimal one before it is recorded, and branches that contain a
-  recorded siphon are pruned.
-* ``minimal_siphons(method="transversal")`` — for strongly connected
-  networks the minimal siphons are exactly the minimal transversals of the
-  complex supports, so the hypergraph dualizer below applies.
+* the search route — depth-first search that repairs one violated
+  production clause at a time; each leaf siphon is shrunk to a minimal one
+  before it is recorded, and branches that contain a recorded siphon are
+  pruned.
+* the transversal route — for strongly connected networks the minimal
+  siphons are exactly the minimal transversals of the complex supports, so
+  the hypergraph dualizer below applies.
+
+``minimal_siphons`` and ``minimal_siphon_counts`` choose between the last
+two by strong connectivity alone.
 
 The transversal enumerator keeps, for every chosen vertex, a non-empty set
 of "private" edges hit by that vertex alone; a branch is extended only
@@ -649,7 +652,8 @@ def _search_minimal_siphons(net: ReactionNetwork, budget: Budget | None) -> list
     minimal siphon is reached from its least member).  A leaf is a siphon,
     shrunk to a minimal one before it is recorded, so ``found`` holds only
     minimal siphons and a node containing one of them is pruned: no other
-    minimal siphon lies below it.
+    minimal siphon lies below it.  A budget overrun's partial holds the
+    masks found so far.
     """
     s = net.num_species
     masks = _reaction_masks(net)
@@ -691,7 +695,7 @@ def _search_minimal_siphons(net: ReactionNetwork, budget: Budget | None) -> list
             allowed = ~((1 << seed) - 1)
             rec(1 << seed, allowed, set())
     except _BudgetSignal as sig:
-        raise BudgetExceededError(str(sig), _sorted_siphons(found)) from None
+        raise BudgetExceededError(str(sig), list(found)) from None
     return found
 
 
@@ -703,51 +707,55 @@ def complex_support_hypergraph(net: ReactionNetwork) -> Hypergraph:
     return Hypergraph(net.num_species, tuple(dict.fromkeys(supports)))
 
 
-def _transversal_route(net: ReactionNetwork) -> tuple[list[Siphon], Hypergraph | None]:
-    """Split the minimal siphons of a strongly connected network.
+def _finished(enumerate_: Callable[[], object], finish: Callable):
+    """``finish(enumerate_())``; a budget overrun's partial is finished the
+    same way, so it has the form of the result."""
+    try:
+        found = enumerate_()
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(str(exc), finish(exc.partial)) from None
+    return finish(found)
+
+
+def _tally(sizes: Iterable[int]) -> TransversalTally:
+    by_size = Counter(sizes)
+    return TransversalTally(sum(by_size.values()), dict(sorted(by_size.items())))
+
+
+def _search_route(net: ReactionNetwork, budget: Budget | None, count: bool):
+    """The minimal siphons by search, sorted, or (``count``) their per-size
+    tally."""
+
+    def finish(found):
+        return _tally(z.bit_count() for z in found) if count else _sorted_siphons(found)
+
+    return _finished(lambda: _search_minimal_siphons(net, budget), finish)
+
+
+def _transversal_route(net: ReactionNetwork, budget: Budget | None, count: bool):
+    """The minimal siphons of a strongly connected network, sorted, or
+    (``count``) their per-size tally.
 
     There a set of *occurring* species is a siphon exactly when it meets the
     support of every complex.  A species appearing in no complex is produced
-    by nothing, so it is a minimal siphon on its own; those singletons come
-    first.  The rest are the minimal transversals of the returned
-    hypergraph, or none at all (``None``) when the empty support of a zero
-    complex cannot be hit.
+    by nothing, so it is a minimal siphon on its own.  The rest are the
+    minimal transversals of the complex supports, or none at all when the
+    empty support of a zero complex cannot be hit.
     """
-    if not connectivity(net).is_strongly_connected:
-        raise ValueError("the transversal route requires a strongly connected network")
     used: set[int] = set()
     for c in net.complexes:
         used |= c.support
     singletons = [Siphon((i,)) for i in range(net.num_species) if i not in used]
+
+    def finish(found):
+        if count:
+            return _plus_singletons(found, len(singletons))
+        return _by_size(singletons + [Siphon(tuple(sorted(t))) for t in found])
+
     if any(c.is_zero for c in net.complexes):
-        return singletons, None
-    return singletons, complex_support_hypergraph(net)
-
-
-def minimal_siphon_counts(
-    net: ReactionNetwork, budget: Budget | None = None, method: str = "auto"
-) -> TransversalTally:
-    """Minimal siphons counted per size, by the routes of ``minimal_siphons``.
-
-    The transversal route counts without listing (``transversal_counts``);
-    the search route lists the siphons and tallies them.  A budget overrun
-    carries the partial tally.
-    """
-    if method not in ("auto", "search", "transversal"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "search" or (
-        method == "auto" and not connectivity(net).is_strongly_connected
-    ):
-        found = minimal_siphons(net, budget, method="search")
-        by_size = Counter(len(z.members) for z in found)
-        return TransversalTally(len(found), dict(sorted(by_size.items())))
-    singletons, h = _transversal_route(net)
-    try:
-        tally = transversal_counts(h, budget) if h is not None else TransversalTally(0, {})
-    except BudgetExceededError as exc:
-        partial = _plus_singletons(exc.partial, len(singletons))
-        raise BudgetExceededError(str(exc), partial) from None
-    return _plus_singletons(tally, len(singletons))
+        return finish(TransversalTally(0, {}) if count else [])
+    enumerate_ = transversal_counts if count else minimal_transversals
+    return _finished(lambda: enumerate_(complex_support_hypergraph(net), budget), finish)
 
 
 def _plus_singletons(tally: TransversalTally, n: int) -> TransversalTally:
@@ -758,28 +766,28 @@ def _plus_singletons(tally: TransversalTally, n: int) -> TransversalTally:
     return TransversalTally(tally.total + n, dict(sorted(by_size.items())))
 
 
-def minimal_siphons(
-    net: ReactionNetwork, budget: Budget | None = None, method: str = "auto"
-) -> list[Siphon]:
+def _by_route(net: ReactionNetwork, budget: Budget | None, count: bool):
+    """The route is chosen from the network alone: transversals when it is
+    strongly connected, the search otherwise."""
+    route = _transversal_route if connectivity(net).is_strongly_connected else _search_route
+    return route(net, budget, count)
+
+
+def minimal_siphon_counts(net: ReactionNetwork, budget: Budget | None = None) -> TransversalTally:
+    """Minimal siphons counted per size, by the route of ``minimal_siphons``.
+
+    The transversal route counts without listing (``transversal_counts``);
+    the search route lists the siphons and tallies them.  A budget overrun
+    carries the partial tally.
+    """
+    return _by_route(net, budget, count=True)
+
+
+def minimal_siphons(net: ReactionNetwork, budget: Budget | None = None) -> list[Siphon]:
     """All inclusion-minimal siphons, sorted by (size, members).
 
-    ``method`` selects the route: "search" (general branch-and-prune),
-    "transversal" (strongly connected networks only: complex-support
-    transversals, see ``_transversal_route``), or "auto" (transversal when
-    the precondition holds, search otherwise).
+    A strongly connected network takes the transversal route (see
+    ``_transversal_route``), any other the search.  A budget overrun
+    carries the minimal siphons found so far.
     """
-    if method not in ("auto", "search", "transversal"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "search" or (
-        method == "auto" and not connectivity(net).is_strongly_connected
-    ):
-        return _sorted_siphons(_search_minimal_siphons(net, budget))
-    singletons, h = _transversal_route(net)
-    if h is None:
-        return singletons
-    try:
-        transversals = minimal_transversals(h, budget)
-    except BudgetExceededError as exc:
-        partial = singletons + [Siphon(tuple(sorted(t))) for t in exc.partial]
-        raise BudgetExceededError(str(exc), _by_size(partial)) from None
-    return _by_size(singletons + [Siphon(tuple(sorted(t))) for t in transversals])
+    return _by_route(net, budget, count=False)

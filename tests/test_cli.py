@@ -64,6 +64,12 @@ class TestSiphonsCommand:
         assert code == EXIT_BUDGET
         assert "budget" in err
 
+    def test_method_option_is_gone(self, receptor_file):
+        code, out, err = invoke(["siphons", "--method", "search", receptor_file])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--method" in err
+
     def test_count_result_limit_exit_code(self, tmp_path):
         lines = [f"c{i} + c{i+1} <-> c{i+1} + c{i+2}" for i in range(1, 34)]
         path = tmp_path / "chain.crn"
@@ -167,7 +173,6 @@ class TestRelevanceCommand:
 
 
     def test_enumerated_siphons_are_not_rechecked(self, tmp_path, monkeypatch):
-        import crnsiphon.cli as cli_module
         import crnsiphon.relevance as relevance_module
         from conftest import grid_minors_network
         from crnsiphon.network import canonical_text
@@ -175,7 +180,7 @@ class TestRelevanceCommand:
         calls = []
         bases = []
         real_is_siphon = relevance_module.is_siphon
-        real_basis = cli_module.conservation_basis
+        real_basis = relevance_module.conservation_basis
 
         def counted(net, members):
             calls.append(tuple(members))
@@ -186,7 +191,7 @@ class TestRelevanceCommand:
             return real_basis(net)
 
         monkeypatch.setattr(relevance_module, "is_siphon", counted)
-        monkeypatch.setattr(cli_module, "conservation_basis", counted_basis)
+        monkeypatch.setattr(relevance_module, "conservation_basis", counted_basis)
         path = tmp_path / "grid5.crn"
         path.write_text(canonical_text(grid_minors_network(5)))
         ones = ",".join(["1"] * 25)
@@ -197,6 +202,54 @@ class TestRelevanceCommand:
         assert len(out.splitlines()) == 28
         assert out.count("[c0-relevant: True]") == 18
         assert calls == [] and len(bases) == 1
+
+    def test_non_positive_sample_is_rejected(self, tmp_path):
+        # no siphon needs the second sample, which is checked all the same
+        net = tmp_path / "ab.crn"
+        net.write_text("A -> B\n")
+        omega = tmp_path / "omega.txt"
+        omega.write_text("1,1\n0,1\n")
+        code, out, err = invoke(["relevance", "--omega", str(omega), str(net)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "strictly positive" in err
+
+    def test_non_positive_start_is_rejected_without_siphons(self, tmp_path):
+        net = tmp_path / "inflow.crn"
+        net.write_text("0 <-> A\n")
+        assert invoke(["siphons", str(net)])[:2] == (EXIT_OK, "")
+        code, out, err = invoke(["relevance", "--c0", "0", str(net)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "strictly positive" in err
+
+    def test_facet_route_disagreement_exit_code(self, receptor_file, monkeypatch):
+        import crnsiphon.relevance as relevance_module
+
+        real = relevance_module.is_relevant_by_facets
+
+        def inverted(*args, **kwargs):
+            verdict = real(*args, **kwargs)
+            return relevance_module.RelevanceVerdict(
+                verdict.siphon, not verdict.relevant, verdict.route
+            )
+
+        monkeypatch.setattr(relevance_module, "is_relevant_by_facets", inverted)
+        code, out, err = invoke(["relevance", receptor_file])
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert "internal invariant violation" in err
+
+    def test_budget_exit_code(self, tmp_path):
+        from conftest import chain_network
+        from crnsiphon.network import canonical_text
+
+        path = tmp_path / "chain40.crn"
+        path.write_text(canonical_text(chain_network(40)))
+        code, out, err = invoke(["relevance", "--budget-ms", "20", str(path)])
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err.startswith("budget exceeded:")
 
 
 class TestAnalyzeCommand:

@@ -20,6 +20,9 @@ from crnsiphon.siphons import (
     BudgetExceededError,
     Hypergraph,
     Siphon,
+    TransversalTally,
+    _search_route,
+    _transversal_route,
     brute_force_minimal_siphons,
     complex_support_hypergraph,
     is_siphon,
@@ -29,6 +32,16 @@ from crnsiphon.siphons import (
     siphon_violation,
     transversal_counts,
 )
+
+
+def by_search(net, budget=None, count=False):
+    """The search route, whatever the network's connectivity."""
+    return _search_route(net, budget, count)
+
+
+def by_transversals(net, count=False):
+    """The transversal route; valid for strongly connected networks only."""
+    return _transversal_route(net, None, count)
 
 
 def names_of(net, siphons):
@@ -97,13 +110,13 @@ class TestOracleEquivalence:
         self, receptor_ligand, enzyme_inhibitor, futile_cycle
     ):
         for net in (receptor_ligand, enzyme_inhibitor, futile_cycle):
-            assert minimal_siphons(net, method="search") == brute_force_minimal_siphons(net)
+            assert by_search(net) == brute_force_minimal_siphons(net)
 
     def test_search_equals_brute_force_on_random_networks(self):
         rng = random.Random(101)
         for _ in range(80):
             net = random_network(rng, max_species=9)
-            assert minimal_siphons(net, method="search") == brute_force_minimal_siphons(net)
+            assert by_search(net) == brute_force_minimal_siphons(net)
 
     def test_fast_path_equals_search_when_strongly_connected(self):
         rng = random.Random(55)
@@ -113,12 +126,8 @@ class TestOracleEquivalence:
             if not connectivity(net).is_strongly_connected:
                 continue
             checked += 1
-            assert minimal_siphons(net, method="transversal") == minimal_siphons(net, method="search")
+            assert by_transversals(net) == by_search(net)
         assert checked >= 10
-
-    def test_fast_path_requires_strong_connectivity(self, futile_cycle):
-        with pytest.raises(ValueError, match="strongly connected"):
-            minimal_siphons(futile_cycle, method="transversal")
 
     def test_outputs_are_siphons_and_incomparable(self):
         rng = random.Random(77)
@@ -178,15 +187,15 @@ class TestBudgets:
 
     def test_search_budget(self, futile_cycle):
         with pytest.raises(BudgetExceededError):
-            minimal_siphons(futile_cycle, Budget(max_results=1), method="search")
+            by_search(futile_cycle, Budget(max_results=1))
 
     def test_search_partial_holds_only_minimal_siphons(self, grid5):
         # grid5 has exactly 28 minimal siphons and takes the search route
-        full = minimal_siphons(grid5, method="search")
+        full = minimal_siphons(grid5)
         assert len(full) == 28
-        assert minimal_siphons(grid5, Budget(max_results=28), method="search") == full
+        assert minimal_siphons(grid5, Budget(max_results=28)) == full
         with pytest.raises(BudgetExceededError) as exc:
-            minimal_siphons(grid5, Budget(max_results=27), method="search")
+            minimal_siphons(grid5, Budget(max_results=27))
         partial = exc.value.partial
         assert len(partial) == 27
         assert set(partial) <= set(full)
@@ -417,10 +426,12 @@ class TestMinimalSiphonCounts:
             net = random_network(rng, max_species=8)
             strongly = connectivity(net).is_strongly_connected
             routes.add(strongly)
-            methods = ["auto", "search"] + (["transversal"] if strongly else [])
-            for method in methods:
-                found = minimal_siphons(net, method=method)
-                tally = minimal_siphon_counts(net, method=method)
+            listings = [minimal_siphons(net), by_search(net)]
+            tallies = [minimal_siphon_counts(net), by_search(net, count=True)]
+            if strongly:
+                listings.append(by_transversals(net))
+                tallies.append(by_transversals(net, count=True))
+            for found, tally in zip(listings, tallies):
                 assert tally.total == len(found)
                 assert tally.by_size == size_tally(z.members for z in found)
         assert routes == {True, False}
@@ -432,10 +443,6 @@ class TestMinimalSiphonCounts:
         tally = minimal_siphon_counts(net)
         assert tally.total == 1 and tally.by_size == {1: 1}
 
-    def test_transversal_route_requires_strong_connectivity(self, futile_cycle):
-        with pytest.raises(ValueError, match="strongly connected"):
-            minimal_siphon_counts(futile_cycle, method="transversal")
-
     def test_budget_partial_includes_singletons(self):
         lines = [f"c{i} + c{i+1} <-> c{i+1} + c{i+2}" for i in range(1, 29)]
         net = parse_network("species u\n" + "\n".join(lines))
@@ -443,6 +450,14 @@ class TestMinimalSiphonCounts:
             minimal_siphon_counts(net, Budget(max_results=3))
         assert exc.value.partial.by_size[1] == 1
         assert exc.value.partial.total > 3
+
+    def test_search_route_budget_partial_is_a_tally(self, grid5):
+        # grid5 is not strongly connected, so it is counted by the search
+        with pytest.raises(BudgetExceededError) as exc:
+            minimal_siphon_counts(grid5, Budget(max_results=3))
+        partial = exc.value.partial
+        assert isinstance(partial, TransversalTally)
+        assert partial.total == sum(partial.by_size.values()) == 3
 
 
 class TestLeafShrink:
@@ -472,7 +487,7 @@ class TestGridNetworks:
 
         for n in (3, 4):
             net = grid_minors_network(n)
-            assert minimal_siphons(net, method="search") == brute_force_minimal_siphons(net)
+            assert by_search(net) == brute_force_minimal_siphons(net)
 
     def test_grid5_counts(self, grid5):
         # regression values for the 5x5 adjacent-minors network: the ten
