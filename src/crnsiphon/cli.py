@@ -3,7 +3,7 @@
 Subcommands::
 
     parse             echo the canonical form of a network file
-    siphons           minimal siphons (list, count, histogram, brute force)
+    siphons           minimal siphons (list, count, histogram)
     facets            facets of the cone of conserved quantities
     vertices          vertex supports of the invariant polytope of --c0
     relevance         per-siphon lines of the analyze report (global / --c0 / --omega)
@@ -28,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -38,14 +37,13 @@ from crnsiphon.dynamics import MassActionSystem, build_rhs, check_face_invarianc
 from crnsiphon.geometry import InvariantPolytope, NotPointedError, build_cone, face_dimension
 from crnsiphon.linalg import conservation_basis
 from crnsiphon.network import ParseError, ReactionNetwork, canonical_text, parse_network
-from crnsiphon.relevance import AnalysisReport, RouteDisagreementError, analyze
-from crnsiphon.siphons import (
-    Budget,
-    BudgetExceededError,
-    brute_force_minimal_siphons,
-    minimal_siphon_counts,
-    minimal_siphons,
+from crnsiphon.relevance import (
+    AnalysisReport,
+    RelevanceVerdict,
+    RouteDisagreementError,
+    analyze,
 )
+from crnsiphon.siphons import Budget, BudgetExceededError, minimal_siphon_counts, minimal_siphons
 
 __all__ = ["main", "run"]
 
@@ -196,10 +194,6 @@ def _load_network(path: str) -> ReactionNetwork:
         return parse_network(fh.read())
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _report_to_dict(report: AnalysisReport) -> dict:
     net = report.network
     conn = report.connectivity_info
@@ -214,7 +208,7 @@ def _report_to_dict(report: AnalysisReport) -> dict:
                 "complement": [
                     net.species.names[i] for i in f.complement(net.num_species)
                 ],
-                "normal": [_frac_str(x) for x in f.normal],
+                "normal": [str(x) for x in f.normal],
             }
             for f in report.cone.facets
         ],
@@ -229,12 +223,10 @@ def _report_to_dict(report: AnalysisReport) -> dict:
             "witnesses": {},
         }
         if a.verdict.conservation_law is not None:
-            entry["witnesses"]["conservation_law"] = [
-                _frac_str(x) for x in a.verdict.conservation_law
-            ]
+            entry["witnesses"]["conservation_law"] = [str(x) for x in a.verdict.conservation_law]
         if a.verdict.certificate is not None:
             entry["witnesses"]["infeasibility_certificate"] = [
-                _frac_str(x) for x in a.verdict.certificate
+                str(x) for x in a.verdict.certificate
             ]
         if a.facet_verdict is not None and a.facet_verdict.facet is not None:
             entry["witnesses"]["facet_complement"] = [
@@ -244,9 +236,7 @@ def _report_to_dict(report: AnalysisReport) -> dict:
         if a.c0_verdict is not None:
             entry["c0_relevant"] = a.c0_verdict.relevant
             if a.c0_verdict.face_point is not None:
-                entry["witnesses"]["face_point"] = [
-                    _frac_str(x) for x in a.c0_verdict.face_point
-                ]
+                entry["witnesses"]["face_point"] = [str(x) for x in a.c0_verdict.face_point]
             entry["face_dim"] = a.face_dim
         if a.omega_hits is not None:
             entry["omega_relevant"] = bool(a.omega_hits)
@@ -272,7 +262,7 @@ def _report_to_dict(report: AnalysisReport) -> dict:
             "components_strongly_connected": conn.components_strongly_connected,
         },
         "conservation_basis": [
-            [_frac_str(x) for x in row] for row in report.conservation.matrix.entries
+            [str(x) for x in row] for row in report.conservation.matrix.entries
         ],
         "cone": cone_dict,
         "minimal_siphons": siphons,
@@ -289,14 +279,23 @@ def _report_to_dict(report: AnalysisReport) -> dict:
         "timing": report.timing_ms,
     }
     if report.c0 is not None:
-        result["c0"] = [_frac_str(x) for x in report.c0]
+        result["c0"] = [str(x) for x in report.c0]
     if report.omega_samples is not None:
-        result["omega_samples"] = [
-            [_frac_str(x) for x in sm] for sm in report.omega_samples
-        ]
+        result["omega_samples"] = [[str(x) for x in sm] for sm in report.omega_samples]
     if report.orbits is not None:
         result["orbits"] = [list(o) for o in report.orbits]
     return result
+
+
+def _siphon_prefix(net: ReactionNetwork, verdict: RelevanceVerdict) -> str:
+    """``{A B E}: relevant`` plus the conservation law when there is one:
+    how a siphon's line starts in the text report and in ``relevance``."""
+    line = f"{{{' '.join(verdict.siphon.names(net))}}}: " + (
+        "relevant" if verdict.relevant else "not relevant"
+    )
+    if verdict.conservation_law is not None:
+        line += f" [conservation law: {' '.join(map(str, verdict.conservation_law))}]"
+    return line
 
 
 def _report_to_text(report: AnalysisReport) -> str:
@@ -317,20 +316,15 @@ def _report_to_text(report: AnalysisReport) -> str:
     label = "minimal siphons" if report.exhaustive else "minimal siphons (partial)"
     lines.append(f"{label}: {len(report.siphons)}")
     for a in report.siphons:
-        name = " ".join(a.verdict.siphon.names(net))
-        flag = "relevant" if a.verdict.relevant else "not relevant"
-        extra = ""
-        if a.verdict.conservation_law is not None:
-            law = " ".join(_frac_str(x) for x in a.verdict.conservation_law)
-            extra = f" [conservation law: {law}]"
+        line = "  " + _siphon_prefix(net, a.verdict)
         if a.c0_verdict is not None:
-            extra += f" [c0-relevant: {a.c0_verdict.relevant}"
+            line += f" [c0-relevant: {a.c0_verdict.relevant}"
             if a.face_dim is not None:
-                extra += f", face dim {a.face_dim}"
-            extra += "]"
+                line += f", face dim {a.face_dim}"
+            line += "]"
         if a.omega_hits is not None:
-            extra += f" [sample hits: {list(a.omega_hits)}]"
-        lines.append(f"  {{{name}}}: {flag}{extra}")
+            line += f" [sample hits: {list(a.omega_hits)}]"
+        lines.append(line)
     lines.append(f"all non-relevant: {report.all_non_relevant}")
     if report.boundary_certificate:
         lines.append(f"certificate: {report.boundary_certificate}")
@@ -358,7 +352,7 @@ def _render_polynomial(terms, names) -> str:
             sign, mag = " - ", -coeff
         else:
             sign, mag = " + ", coeff
-        body = mono if mag == 1 and factors else f"{_frac_str(mag)}*{mono}"
+        body = mono if mag == 1 and factors else f"{mag}*{mono}"
         pieces.append((sign, body))
     first_sign, first_body = pieces[0]
     text = ("-" if first_sign == " - " else "") + first_body
@@ -382,7 +376,6 @@ def build_arg_parser() -> _Parser:
     p = add("siphons", "minimal siphons")
     p.add_argument("--count-only", action="store_true", help="print the total only")
     p.add_argument("--histogram", action="store_true", help="print total plus per-size counts")
-    p.add_argument("--brute-force", action="store_true", help="use the subset-enumeration oracle")
     p.add_argument("--budget-ms", type=int, default=None)
     p.add_argument("--max-results", type=int, default=None)
 
@@ -429,19 +422,13 @@ def build_arg_parser() -> _Parser:
 def _cmd_siphons(net: ReactionNetwork, args, out) -> int:
     budget = _budget_from(args)
     if args.count_only or args.histogram:
-        if args.brute_force:
-            found = brute_force_minimal_siphons(net)
-            total, by_size = len(found), Counter(len(z.members) for z in found)
-        else:
-            tally = minimal_siphon_counts(net, budget)
-            total, by_size = tally.total, tally.by_size
-        print(f"total {total}", file=out)
+        tally = minimal_siphon_counts(net, budget)
+        print(f"total {tally.total}", file=out)
         if args.histogram:
-            for size in sorted(by_size):
-                print(f"{size} {by_size[size]}", file=out)
+            for size in sorted(tally.by_size):
+                print(f"{size} {tally.by_size[size]}", file=out)
         return EXIT_OK
-    found = brute_force_minimal_siphons(net) if args.brute_force else minimal_siphons(net, budget)
-    for z in found:
+    for z in minimal_siphons(net, budget):
         print(" ".join(z.names(net)), file=out)
     return EXIT_OK
 
@@ -459,13 +446,7 @@ def _cmd_relevance(net: ReactionNetwork, args, out) -> int:
             "siphon enumeration did not finish", [a.verdict.siphon for a in report.siphons]
         )
     for a in report.siphons:
-        verdict = a.verdict
-        line = f"{{{' '.join(verdict.siphon.names(net))}}}: " + (
-            "relevant" if verdict.relevant else "not relevant"
-        )
-        if verdict.conservation_law is not None:
-            law = " ".join(_frac_str(x) for x in verdict.conservation_law)
-            line += f" [conservation law: {law}]"
+        line = _siphon_prefix(net, a.verdict)
         if a.c0_verdict is not None:
             line += f" [c0-relevant: {a.c0_verdict.relevant}]"
         if a.omega_hits is not None:
@@ -500,7 +481,7 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
             for f in cone.facets or ():
                 members = " ".join(net.species.names[i] for i in f.members)
                 comp = " ".join(net.species.names[i] for i in f.complement(net.num_species))
-                normal = " ".join(_frac_str(x) for x in f.normal)
+                normal = " ".join(map(str, f.normal))
                 print(f"facet: {members} ; complement: {comp} ; normal: {normal}", file=out)
             return EXIT_OK
 

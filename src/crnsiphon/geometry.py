@@ -17,9 +17,11 @@ Facets and vertices come from one exact double-description routine,
 extreme non-negative conservation laws (the dual cone's extreme rays, the
 law's zero set naming the generators on the facet); the vertices are the
 extreme rays with ``t > 0`` of ``{(x, t) >= 0 : A x = t A c0}``.
-Relevance queries that only need face emptiness should use
-:func:`face_nonempty`, which is a single small LP and does not enumerate
-anything.
+Whether a start lets a siphon's face be non-empty is a relevance question:
+ask :func:`crnsiphon.relevance.is_c0_relevant`, which decides it as
+``analyze`` does (by the siphon's conservation law when it has one, else
+by the face LP).  :func:`face_nonempty` is that bare face LP, for any zero
+set; it enumerates nothing.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from crnsiphon.linalg import (
     SubspaceBasis,
     conservation_basis,
     integer_row,
+    kernel_vectors,
     normalize_integer_vector,
     nullspace_basis,
     row_reduce,
@@ -127,18 +130,10 @@ def _extreme_rays(e: RationalMatrix) -> list[tuple[int, ...]]:
     bitmasks over the coordinates.
     """
     red = row_reduce(e)
-    pivot_set = set(red.pivot_cols)
-    free = [c for c in range(e.cols) if c not in pivot_set]
-    k = len(free)
-    rays = []
-    for f in free:
-        vec = [Fraction(0)] * e.cols
-        vec[f] = Fraction(1)
-        for i, pc in enumerate(red.pivot_cols):
-            vec[pc] = -red.rref.entries[i][f]
-        rays.append(tuple(int(x) for x in normalize_integer_vector(vec, fix_sign=False)))
+    rays = [tuple(int(x) for x in v) for v in kernel_vectors(red, fix_sign=False)]
+    k = len(rays)
     zeros = [_zero_mask(r) for r in rays]
-    added = sum(1 << f for f in free)
+    added = sum(1 << c for c in range(e.cols) if c not in red.pivot_cols)
     for p in red.pivot_cols:
         pos = [i for i, r in enumerate(rays) if r[p] > 0]
         neg = [i for i, r in enumerate(rays) if r[p] < 0]
@@ -214,21 +209,25 @@ def cone_facets(cone: ConeQ) -> tuple[Facet, ...]:
 
 @dataclass(frozen=True)
 class InvariantPolytope:
-    """The polytope ``{x >= 0 : A x = A c0}`` for a positive start c0."""
+    """The polytope ``{x >= 0 : A x = A c0}`` for a positive start c0.
+
+    ``c0`` may be given as any sequence of rationals; it is stored as a
+    tuple of Fractions."""
 
     matrix: RationalMatrix
     c0: Vec
 
     def __post_init__(self):
-        if len(self.c0) != self.matrix.cols:
+        c0 = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.c0)
+        object.__setattr__(self, "c0", c0)
+        if len(c0) != self.matrix.cols:
             raise ValueError("c0 length does not match matrix columns")
-        if any(x <= 0 for x in self.c0):
+        if any(x <= 0 for x in c0):
             raise ValueError("c0 must be strictly positive")
 
     @classmethod
     def from_network(cls, net: ReactionNetwork, c0: Sequence) -> "InvariantPolytope":
-        vec = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in c0)
-        return cls(conservation_basis(net).matrix, vec)
+        return cls(conservation_basis(net).matrix, c0)
 
     @property
     def num_species(self) -> int:

@@ -28,6 +28,7 @@ __all__ = [
     "SubspaceBasis",
     "rank",
     "row_reduce",
+    "kernel_vectors",
     "nullspace_basis",
     "conservation_basis",
     "in_row_space",
@@ -216,19 +217,28 @@ def normalize_integer_vector(v: Sequence[Fraction], fix_sign: bool = True) -> Ve
     return tuple(Fraction(x) for x in ints)
 
 
-def nullspace_basis(m: RationalMatrix) -> RationalMatrix:
-    """Integer-normalized row basis of ``{v : m v = 0}``."""
-    red = row_reduce(m)
-    pivot_set = set(red.pivot_cols)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        vec = [Fraction(0)] * m.cols
-        vec[f] = Fraction(1)
+def kernel_vectors(red: RowReduction, fix_sign: bool = True) -> list[Vec]:
+    """One kernel vector of the reduced matrix per free column f of its
+    RREF, in column order: 1 at f, minus column f of the RREF at the pivot
+    columns, 0 elsewhere, scaled by :func:`normalize_integer_vector`
+    (``fix_sign`` as there; without it the entry at f stays positive)."""
+    cols = red.rref.cols
+    zero, one = Fraction(0), Fraction(1)
+    vectors = []
+    for f in range(cols):
+        if f in red.pivot_cols:
+            continue
+        vec = [zero] * cols
+        vec[f] = one
         for i, pc in enumerate(red.pivot_cols):
             vec[pc] = -red.rref.entries[i][f]
-        basis.append(normalize_integer_vector(vec))
-    return RationalMatrix(tuple(basis), m.cols)
+        vectors.append(normalize_integer_vector(vec, fix_sign))
+    return vectors
+
+
+def nullspace_basis(m: RationalMatrix) -> RationalMatrix:
+    """Integer-normalized row basis of ``{v : m v = 0}``."""
+    return RationalMatrix(tuple(kernel_vectors(row_reduce(m))), m.cols)
 
 
 @dataclass(frozen=True)

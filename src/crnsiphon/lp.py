@@ -326,7 +326,7 @@ def _homogenized_probe(system: LinearSystem, support: Sequence[int]) -> LinearSy
     )
 
 
-def affine_dim(system: LinearSystem, *, first: FeasibilityResult | None = None) -> int | None:
+def affine_dim(system: LinearSystem, *, first: Sequence[Fraction] | None = None) -> int | None:
     """Dimension of the affine hull of the feasible set, or None if empty.
 
     The sign constraints that hold with equality across the whole set are
@@ -342,15 +342,19 @@ def affine_dim(system: LinearSystem, *, first: FeasibilityResult | None = None) 
     ``(n - |P|) - rank(A[:, not P])``: one integer rank over the columns
     that are not pinned.
 
-    ``first`` is :func:`feasible`'s result for this same system when the
-    caller already has it; it is then not solved again.
+    ``first`` is a point of the feasible set when the caller already has
+    one, such as :func:`feasible`'s witness; the system is then not solved
+    again.  A point that fails :func:`verify_witness` raises ValueError.
     """
     if first is None:
-        first = feasible(system)
-    if not first.feasible:
-        return None
+        result = feasible(system)
+        if not result.feasible:
+            return None
+        first = result.witness
+    elif not verify_witness(system, first):
+        raise ValueError("first is not a feasible point of the system")
     pinned = set(system.zero)
-    unsettled = [j for j in sorted(system.nonneg - system.zero) if first.witness[j] == 0]
+    unsettled = [j for j in sorted(system.nonneg - system.zero) if first[j] == 0]
     while unsettled:
         probe = feasible(_homogenized_probe(system, unsettled))
         if not probe.feasible:

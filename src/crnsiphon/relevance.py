@@ -15,6 +15,14 @@ The two routes must agree; :func:`analyze` cross-checks them and treats a
 disagreement as an internal error.  When no minimal siphon is relevant,
 the report carries a network-level certificate: no invariant polytope has
 a boundary steady state.
+
+Relevance for one positive start c0 (is the face ``x_Z = 0`` of the
+polytope of c0 non-empty?) has one rule, applied to the siphon's
+conservation-LP verdict: a non-relevant siphon's law shows the face empty
+at every positive start, and a relevant siphon's face is decided by the
+face LP.  :func:`analyze` (``c0`` and ``omega_samples``),
+:func:`is_c0_relevant` and :func:`omega_relevant` all use it, so they
+return the same verdicts with the same witnesses.
 """
 
 from __future__ import annotations
@@ -24,20 +32,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from crnsiphon.geometry import (
-    ConeQ,
-    Facet,
-    InvariantPolytope,
-    NotPointedError,
-    build_cone,
-)
+from crnsiphon.geometry import ConeQ, Facet, InvariantPolytope, build_cone, cone_facets
 from crnsiphon.linalg import (
     SubspaceBasis,
     conservation_basis,
     integer_row,
     normalize_integer_vector,
 )
-from crnsiphon.lp import FeasibilityResult, LinearSystem, affine_dim, feasible
+from crnsiphon.lp import LinearSystem, affine_dim, feasible
 from crnsiphon.network import (
     ConnectivityInfo,
     ReactionNetwork,
@@ -125,72 +127,58 @@ def is_relevant_by_facets(
     facet complement is contained in the siphon.  Pointed cones only."""
     if cone is None:
         cone = build_cone(conservation_basis(net))
-    if not cone.pointed:
-        raise NotPointedError(
-            "cone is not pointed; use the conservation-law LP route for relevance"
-        )
     members = set(siphon.members)
-    for facet in cone.facets or ():
+    for facet in cone_facets(cone):
         if set(facet.complement(cone.num_generators)) <= members:
             return RelevanceVerdict(siphon, False, "facet", facet=facet)
     return RelevanceVerdict(siphon, True, "facet")
 
 
-def _face_verdict(siphon: Siphon, result: FeasibilityResult) -> RelevanceVerdict:
-    """Verdict from the face LP ``feasible(polytope.face_system(siphon))``."""
-    if result.feasible:
-        return RelevanceVerdict(siphon, True, "face_lp", face_point=result.witness)
-    return RelevanceVerdict(siphon, False, "face_lp", certificate=result.certificate)
-
-
-def _law_verdict(verdict: RelevanceVerdict, polytope: InvariantPolytope) -> RelevanceVerdict:
-    """Relevance for one start of a siphon whose conservation-LP verdict is
-    non-relevant, decided by that verdict's law.
-
-    The law w >= 0 is conserved and supported inside Z, so ``w . x`` equals
-    ``w . c0`` on the whole polytope and 0 on the face ``x_Z = 0``; the
-    face is empty once ``w . c0 > 0``, which is checked in integers.
-    """
-    law = verdict.conservation_law
-    c0, _ = integer_row(polytope.c0)
-    if sum(w.numerator * x for w, x in zip(law, c0) if w) <= 0:
-        raise AssertionError("internal error: conservation law vanishes at the start")
-    return RelevanceVerdict(verdict.siphon, False, "conservation_lp", conservation_law=law)
-
-
 def _start_verdict(verdict: RelevanceVerdict, polytope: InvariantPolytope) -> RelevanceVerdict:
-    """Relevance for one start, given the siphon's conservation-LP verdict:
-    its law when it has one, else the face LP."""
-    if verdict.conservation_law is not None:
-        return _law_verdict(verdict, polytope)
+    """Relevance of a siphon for one start, given its conservation-LP
+    verdict: the one rule behind :func:`analyze`, :func:`is_c0_relevant`
+    and :func:`omega_relevant`.
+
+    A non-relevant siphon's law w >= 0 is conserved and supported inside
+    Z, so ``w . x`` equals ``w . c0`` on the whole polytope and 0 on the
+    face ``x_Z = 0``; the face is empty once ``w . c0 > 0``, which is
+    checked in integers.  A relevant siphon's face is decided by the face
+    LP: a face point, or a Farkas certificate that the face is empty.
+    """
     z = verdict.siphon
-    return _face_verdict(z, feasible(polytope.face_system(z.members)))
+    law = verdict.conservation_law
+    if law is not None:
+        c0, _ = integer_row(polytope.c0)
+        if sum(w.numerator * x for w, x in zip(law, c0) if w) <= 0:
+            raise AssertionError("internal error: conservation law vanishes at the start")
+        return RelevanceVerdict(z, False, "conservation_lp", conservation_law=law)
+    result = feasible(polytope.face_system(z.members))
+    if result.feasible:
+        return RelevanceVerdict(z, True, "face_lp", face_point=result.witness)
+    return RelevanceVerdict(z, False, "face_lp", certificate=result.certificate)
 
 
 def is_c0_relevant(net: ReactionNetwork, c0: Sequence, siphon: Siphon) -> RelevanceVerdict:
     """Relevance for one initial condition: is the face x_Z = 0 of the
-    invariant polytope of c0 non-empty?"""
-    if not is_siphon(net, siphon.members):
-        raise ValueError("relevance is defined for siphons only")
-    polytope = InvariantPolytope.from_network(net, c0)
-    return _face_verdict(siphon, feasible(polytope.face_system(siphon.members)))
+    invariant polytope of c0 non-empty?  Decided, with the same witness,
+    as :func:`analyze` decides its ``c0_verdict``."""
+    return _start_verdict(is_relevant(net, siphon), InvariantPolytope.from_network(net, c0))
 
 
 def omega_relevant(
     net: ReactionNetwork, samples: Sequence[Sequence], siphon: Siphon
 ) -> tuple[bool, int | None]:
     """OR of per-sample relevance; returns the index of the first witnessing
-    sample, or None.  The sampled starts stand in for a whole region."""
+    sample, or None.  The sampled starts stand in for a whole region.  As
+    in :func:`analyze`, every sample must be a positive start, also those
+    after the first witness."""
     if not samples:
         raise ValueError("at least one sample initial condition is required")
-    if not is_siphon(net, siphon.members):
-        raise ValueError("relevance is defined for siphons only")
+    verdict = is_relevant(net, siphon)
     matrix = conservation_basis(net).matrix
-    for idx, c0 in enumerate(samples):
-        polytope = InvariantPolytope(matrix, _positive_vec(c0))
-        if feasible(polytope.face_system(siphon.members)).feasible:
-            return True, idx
-    return False, None
+    polytopes = [InvariantPolytope(matrix, c0) for c0 in samples]
+    hit = next((i for i, p in enumerate(polytopes) if _start_verdict(verdict, p).relevant), None)
+    return hit is not None, hit
 
 
 def relevant_minimal_siphons(
@@ -261,10 +249,6 @@ def orbit_partition(
     return tuple(tuple(g) for g in sorted(groups.values()))
 
 
-def _positive_vec(values: Sequence) -> Vec:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in values)
-
-
 def analyze(
     net: ReactionNetwork,
     c0: Sequence | None = None,
@@ -303,11 +287,9 @@ def analyze(
     timings["siphons_ms"] = (time.monotonic() - t1) * 1000
 
     facet_route_used = cone.pointed
-    polytope = InvariantPolytope(basis.matrix, _positive_vec(c0)) if c0 is not None else None
+    polytope = InvariantPolytope(basis.matrix, c0) if c0 is not None else None
     sample_polytopes = (
-        [InvariantPolytope(basis.matrix, _positive_vec(sm)) for sm in omega_samples]
-        if omega_samples
-        else None
+        [InvariantPolytope(basis.matrix, sm) for sm in omega_samples] if omega_samples else None
     )
 
     def examine(z: Siphon) -> SiphonAnalysis:
@@ -324,14 +306,9 @@ def analyze(
         c0_verdict = None
         dim = None
         if polytope is not None:
-            if verdict.relevant:
-                system = polytope.face_system(z.members)
-                face = feasible(system)
-                c0_verdict = _face_verdict(z, face)
-                if face.feasible:
-                    dim = affine_dim(system, first=face)
-            else:
-                c0_verdict = _law_verdict(verdict, polytope)
+            c0_verdict = _start_verdict(verdict, polytope)
+            if c0_verdict.relevant:
+                dim = affine_dim(polytope.face_system(z.members), first=c0_verdict.face_point)
         hits = None
         if sample_polytopes is not None:
             hits = tuple(
@@ -386,10 +363,8 @@ def analyze(
         all_non_relevant=all_non_relevant,
         boundary_certificate=certificate,
         notes=tuple(notes),
-        c0=tuple(Fraction(x) for x in c0) if c0 is not None else None,
-        omega_samples=tuple(tuple(Fraction(x) for x in sm) for sm in omega_samples)
-        if omega_samples
-        else None,
+        c0=polytope.c0 if polytope is not None else None,
+        omega_samples=tuple(p.c0 for p in sample_polytopes) if sample_polytopes else None,
         orbits=orbits,
         timing_ms=timings if collect_timing else None,
     )

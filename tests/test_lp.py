@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import random_network
 from crnsiphon.linalg import RationalMatrix, rank, row_reduce
 from crnsiphon.lp import (
@@ -418,7 +420,7 @@ class TestAffineDim:
         import crnsiphon.lp as lp_module
 
         sys_ = _simple(3, [([1, 1, 1], 1), ([1, -1, 0], 0)], nonneg=[0, 1, 2])
-        first = feasible(sys_)
+        first = feasible(sys_).witness
         calls = []
         real = lp_module.feasible
 
@@ -429,6 +431,11 @@ class TestAffineDim:
         monkeypatch.setattr(lp_module, "feasible", counted)
         assert affine_dim(sys_, first=first) == affine_dim(sys_) == 1
         assert calls.count(sys_) == 1
+
+    def test_given_first_point_must_be_feasible(self):
+        sys_ = _simple(3, [([1, 1, 1], 1), ([1, -1, 0], 0)], nonneg=[0, 1, 2])
+        with pytest.raises(ValueError, match="feasible point"):
+            affine_dim(sys_, first=(F(1), F(1), F(-1)))
 
 
 def _gate_corpus():

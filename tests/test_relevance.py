@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,39 @@ class TestOmegaRelevance:
         z = minimal_siphons(receptor_ligand)[0]
         with pytest.raises(ValueError):
             omega_relevant(receptor_ligand, [], z)
+
+    def test_every_sample_must_be_positive(self):
+        # sample 0 already witnesses {A}; the zero in sample 1 still counts
+        net = parse_network("A -> B")
+        (a,) = minimal_siphons(net)
+        with pytest.raises(ValueError, match="positive"):
+            omega_relevant(net, [[1, 1], [0, 1]], a)
+
+
+class TestHelpersReportWhatAnalyzeReports:
+    def test_helpers_equal_report_fields(self, receptor_ligand, enzyme_inhibitor, futile_cycle):
+        rng = random.Random(95)
+
+        def start(s):
+            return [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(s)]
+
+        cases = [(receptor_ligand, OMEGA23, [OMEGA1, OMEGA2, OMEGA3])]
+        nets = [enzyme_inhibitor, futile_cycle, grid_minors_network(4)]
+        nets += [random_network(rng, max_species=6) for _ in range(150)]
+        for net in nets:
+            s = net.num_species
+            cases.append((net, start(s), [start(s) for _ in range(3)]))
+        checked = 0
+        for net, c0, samples in cases:
+            report = analyze(net, c0=c0, omega_samples=samples)
+            for a in report.siphons:
+                z = a.verdict.siphon
+                assert is_relevant(net, z) == replace(a.verdict, cross_checked=False)
+                assert is_c0_relevant(net, c0, z) == a.c0_verdict
+                hits = a.omega_hits
+                assert omega_relevant(net, samples, z) == (bool(hits), hits[0] if hits else None)
+                checked += 1
+        assert checked > 350
 
 
 class TestRelevantMinimalSiphons:
