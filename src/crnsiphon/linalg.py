@@ -262,12 +262,8 @@ class SubspaceBasis:
 
 def conservation_basis(net: "ReactionNetwork") -> SubspaceBasis:
     """Integer basis of the conservation space (orthogonal complement of the
-    span of the reaction net-change vectors)."""
-    from crnsiphon.network import stoichiometric_generators
-
-    gens = stoichiometric_generators(net)
-    m = RationalMatrix.from_rows(gens, cols=net.num_species)
-    return SubspaceBasis(nullspace_basis(m))
+    span of the reaction net-change vectors), computed once per network."""
+    return net._conservation_basis
 
 
 def in_row_space(basis: SubspaceBasis | RationalMatrix, v: Sequence[Fraction]) -> bool:

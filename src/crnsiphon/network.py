@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from crnsiphon.linalg import RationalMatrix, SubspaceBasis, nullspace_basis
+
 __all__ = [
     "ParseError",
     "SpeciesTable",
@@ -165,6 +167,11 @@ class ReactionNetwork:
     @cached_property
     def _connectivity(self) -> ConnectivityInfo:
         return _complex_graph_connectivity(self)
+
+    @cached_property
+    def _conservation_basis(self) -> SubspaceBasis:
+        m = RationalMatrix.from_rows(self.integer_net_changes, cols=self.num_species)
+        return SubspaceBasis(nullspace_basis(m))
 
     @cached_property
     def integer_net_changes(self) -> tuple[tuple[int, ...], ...]:

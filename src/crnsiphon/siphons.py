@@ -14,17 +14,20 @@ live here:
   the hypergraph dualizer below applies.
 
 ``minimal_siphons`` and ``minimal_siphon_counts`` choose between the last
-two by strong connectivity alone.
+two by strong connectivity alone.  Both routes run on explicit stacks, so no
+enumeration here is bounded by the interpreter's recursion limit.
 
-The transversal enumerator keeps, for every chosen vertex, a non-empty set
-of "private" edges hit by that vertex alone; a branch is extended only
-while that stays true, which makes every emitted set minimal by
-construction.  ``transversal_counts`` counts per size without listing: it
-walks the same tree, but a subtree whose residual state (uncovered edges,
-live candidates, the private edges still at risk) was counted before is
-not walked again; its tally is taken from a table of fixed size, cleared
-when full, so memory does not grow with the number of results.
-``minimal_siphon_counts`` applies it to networks.
+One walker, ``_walk``, dualizes hypergraphs: the MMCS search of Murakami
+and Uno, which keeps, for every chosen vertex, a non-empty set of
+"private" edges hit by that vertex alone; a branch is extended only while
+that stays true, which makes every leaf a minimal transversal by
+construction.  ``minimal_transversals`` lists the leaves.
+``transversal_counts`` counts them per size without listing: a subtree
+whose residual state (uncovered edges, live candidates, the private edges
+still at risk) was counted before is not walked again; its tally is taken
+from a table of fixed size, cleared when full, so memory does not grow
+with the number of results.  ``minimal_siphon_counts`` applies it to
+networks.
 """
 
 from __future__ import annotations
@@ -194,109 +197,8 @@ def _edges_at(num_vertices: int, edge_vertex_masks: list[int]) -> list[int]:
     return edges_at
 
 
-def _dualize(
-    num_vertices: int,
-    edge_vertex_masks: list[int],
-    emit: Callable[[list[int]], None],
-    clock: _BudgetClock,
-) -> None:
-    """Enumerate minimal hitting sets of the given edges, emitting each once.
-
-    Bitmask conventions: vertex sets are ints over vertex bits; edge sets
-    (``uncov``, criticality sets) are ints over *edge-id* bits.  Every
-    critical edge belongs to exactly one chosen vertex, so ``owner`` maps
-    edge bits to that vertex and the minimality check on adding v touches
-    only the owners of the edges v would steal, not the whole chosen set.
-    """
-    m = len(edge_vertex_masks)
-    if m == 0:
-        emit([])
-        return
-    edges_at = _edges_at(num_vertices, edge_vertex_masks)
-
-    chosen: list[int] = []
-    crit: dict[int, int] = {}  # chosen vertex -> edge-id mask of its private edges
-    owner: dict[int, int] = {}  # edge bit -> owning vertex (stale entries unread)
-    masks = edge_vertex_masks
-    tick = clock.tick
-    note_result = clock.note_result
-
-    def rec(uncov: int, cand: int, critical: int) -> None:
-        tick()
-        if uncov == 0:
-            note_result()
-            emit(chosen)
-            return
-        # Pick an uncovered edge with the fewest candidate vertices; an
-        # edge with none kills the branch, one with a single candidate is
-        # forced, so scanning stops early in both cases.
-        best_inter = 0
-        best_count = None
-        rest = uncov
-        while rest:
-            low = rest & -rest
-            rest &= rest - 1
-            inter = masks[low.bit_length() - 1] & cand
-            c = inter.bit_count()
-            if c == 0:
-                return
-            if best_count is None or c < best_count:
-                best_inter = inter
-                best_count = c
-                if c == 1:
-                    break
-        cand &= ~best_inter
-        branch = best_inter
-        while branch:
-            vbit = branch & -branch
-            branch &= branch - 1
-            v = vbit.bit_length() - 1
-            steal = edges_at[v]
-            affected = steal & critical
-            losses: dict[int, int] = {}
-            rest = affected
-            while rest:
-                low = rest & -rest
-                rest &= rest - 1
-                u = owner[low]
-                losses[u] = losses.get(u, 0) | low
-            if all(crit[u] != lost for u, lost in losses.items()):
-                for u, lost in losses.items():
-                    crit[u] &= ~lost
-                covered = uncov & steal
-                crit[v] = covered
-                rest = covered
-                while rest:
-                    low = rest & -rest
-                    rest &= rest - 1
-                    owner[low] = v
-                chosen.append(v)
-                rec(uncov & ~steal, cand, (critical & ~affected) | covered)
-                chosen.pop()
-                del crit[v]
-                for u, lost in losses.items():
-                    crit[u] |= lost
-            cand |= vbit
-
-    rec((1 << m) - 1, (1 << num_vertices) - 1, 0)
-
-
 def _edge_masks(h: Hypergraph) -> list[int]:
     return [sum(1 << v for v in e) for e in h.edges]
-
-
-def minimal_transversals(h: Hypergraph, budget: Budget | None = None) -> list[frozenset[int]]:
-    """All minimal hitting sets, sorted by (size, members)."""
-    out: list[frozenset[int]] = []
-    try:
-        _dualize(
-            h.num_vertices, _edge_masks(h), lambda chosen: out.append(frozenset(chosen)),
-            _BudgetClock(budget),
-        )
-    except _BudgetSignal as sig:
-        raise BudgetExceededError(str(sig), list(out)) from None
-    out.sort(key=lambda t: (len(t), sorted(t)))
-    return out
 
 
 # Residual states whose subtree tallies are kept for reuse.  The table is
@@ -305,39 +207,54 @@ def minimal_transversals(h: Hypergraph, budget: Budget | None = None) -> list[fr
 _COUNT_MEMO_LIMIT = 1 << 15
 
 
-def _count_dualize(
+def _walk(
     num_vertices: int,
     edge_vertex_masks: list[int],
     clock: _BudgetClock,
     tallies: list[tuple[int, dict[int, int]]],
+    emit: Callable[[list[int]], None] | None = None,
 ) -> None:
-    """Count the minimal hitting sets of the given edges per size.
+    """Count the minimal hitting sets of the given edges per size and, when
+    ``emit`` is given, pass each of them to it once.
 
-    The MMCS walk of ``_dualize`` without emitting, on an explicit stack so
-    that depth is not bounded by the interpreter's recursion limit.  The
-    transversals below a node are those of the residual problem: cover the
-    uncovered edges from the candidates while no chosen vertex loses its
-    last private edge.  That problem is fixed by the *residual state*: the
-    uncovered edges, the live candidates (those in some uncovered edge) and
-    the private-edge masks of the chosen vertices the live candidates could
-    still strip of every private edge; a chosen vertex with a private edge
-    that no live candidate meets can never lose it, and drops out of the
-    state for good.  Equal states have equal per-size tallies shifted by the
-    depth, so each branching node looks its state up in a bounded table and
-    reuses the tally of an earlier subtree.  Forced nodes (one candidate on
-    the branching edge) are not memoized, and the leaves below a node with
-    one uncovered edge left are counted directly.  Which edge a node
-    branches on decides only the speed: the transversals below a node are
-    the same whichever uncovered edge splits them.
+    The MMCS walk (Murakami and Uno), on an explicit stack so that depth is
+    not bounded by the interpreter's recursion limit.  Bitmask conventions:
+    vertex sets are ints over vertex bits; edge sets (``uncov``, the private
+    edges) are ints over *edge-id* bits.  Every private edge belongs to
+    exactly one chosen vertex, so ``owner`` maps edge bits to that vertex
+    and the minimality check on adding v touches only the owners of the
+    edges v would steal, not the whole chosen set.  ``chosen`` is the path
+    to the current node; a leaf emits it with the leaf's vertex appended.
+
+    The transversals below a node are those of the residual problem: cover
+    the uncovered edges from the candidates while no chosen vertex loses
+    its last private edge.  That problem is fixed by the *residual state*:
+    the uncovered edges, the live candidates (those in some uncovered edge)
+    and the private-edge masks of the chosen vertices the live candidates
+    could still strip of every private edge; a chosen vertex with a private
+    edge that no live candidate meets can never lose it, and drops out of
+    the state for good.  Equal states have equal per-size tallies shifted
+    by the depth, so when counting, each branching node looks its state up
+    in a bounded table and reuses the tally of an earlier subtree.  When
+    listing there is no table: a reused subtree's transversals would have
+    to be emitted again.  Forced nodes (one candidate on the branching
+    edge) are not memoized, and the leaves below a node with one uncovered
+    edge left are taken directly.  Which edge a node branches on decides
+    only the speed: the transversals below a node are the same whichever
+    uncovered edge splits them.
 
     ``tallies`` holds one ``(depth, per-size tally relative to depth)`` pair
     for the root and for every open memoized node; their shifted sum is the
-    count so far, which is what a budget overrun reports.
+    count so far, which is what a budget overrun reports.  Each leaf is
+    noted on the clock before it is emitted, so a result-limit overrun has
+    emitted exactly the limit.
     """
     masks = edge_vertex_masks
     m = len(masks)
     if m == 0:
         tallies[0][1][0] = 1
+        if emit is not None:
+            emit([])
         return
     edges_at = _edges_at(num_vertices, masks)
     by_size: dict[int, int] = {}
@@ -346,6 +263,7 @@ def _count_dualize(
         by_size[k] = by_size.get(k, 0) | 1 << eid
     size_classes = sorted(by_size.items())
 
+    chosen: list[int] = []
     crit: dict[int, int] = {}  # chosen vertex -> edge-id mask of its private edges
     owner: dict[int, int] = {}  # edge bit -> owning vertex (stale entries unread)
     memo: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
@@ -353,7 +271,7 @@ def _count_dualize(
     note_result = clock.note_result
     stack: list[list] = []
 
-    def visit(uncov, cand, touched, live, critical, depth, relevant) -> bool:
+    def visit(uncov, cand, touched, live, critical, relevant) -> bool:
         """Expand a node with an uncovered edge; True if it pushed a frame.
 
         ``touched``: a superset of the edges that meet a vertex outside
@@ -388,24 +306,29 @@ def _count_dualize(
                     best_count, best_edge = k, low & -low
                     break
         inter = masks[best_edge.bit_length() - 1] & cand
+        depth = len(chosen)
         if uncov == best_edge:
-            # the last uncovered edge: every child is a leaf, and counting
-            # them is cheaper than a table entry
-            found = 0
+            # the last uncovered edge: every child is a leaf, and taking
+            # them here is cheaper than a table entry
+            leaves = []
             rest = inter
             while rest:
                 vbit = rest & -rest
                 rest ^= vbit
-                if stays_minimal(edges_at[vbit.bit_length() - 1], critical):
+                v = vbit.bit_length() - 1
+                if stays_minimal(edges_at[v], critical):
                     tick()
-                    found += 1
-            if found:
+                    leaves.append(v)
+            if leaves:
                 base, acc = tallies[-1]
-                acc[depth + 1 - base] = acc.get(depth + 1 - base, 0) + found
-                note_result(found)
+                acc[depth + 1 - base] = acc.get(depth + 1 - base, 0) + len(leaves)
+                for v in leaves:
+                    note_result()
+                    if emit is not None:
+                        emit(chosen + [v])
             return False
         key = None
-        if best_count > 1:
+        if best_count > 1 and emit is None:
             live_cand = cand & live
             kept = []
             for u in relevant:
@@ -440,9 +363,7 @@ def _count_dualize(
             v = low.bit_length() - 1
             verts.append(v)
             touched |= edges_at[v]
-        stack.append(
-            [uncov, cand & ~inter, live, critical, depth, relevant, verts, touched, 0, key, None]
-        )
+        stack.append([uncov, cand & ~inter, live, critical, relevant, verts, touched, 0, key, None])
         return True
 
     def stays_minimal(steal: int, critical: int) -> bool:
@@ -459,15 +380,17 @@ def _count_dualize(
     all_vertices = 0
     for vmask in masks:
         all_vertices |= vmask
-    visit((1 << m) - 1, (1 << num_vertices) - 1, 0, all_vertices, 0, 0, ())
+    visit((1 << m) - 1, (1 << num_vertices) - 1, 0, all_vertices, 0, ())
     while stack:
         frame = stack[-1]
-        uncov, cand, live, critical, depth, relevant, verts, touched, i, key, undo = frame
-        if undo is not None:
-            v, saved = undo
+        uncov, cand, live, critical, relevant, verts, touched, i, key, saved = frame
+        if saved is not None:
+            # back from the subtree of the last child: undo its choice
+            v = chosen.pop()
             del crit[v]
             for u, private in saved:
                 crit[u] = private
+        depth = len(chosen)
         base, acc = tallies[-1]
         n = len(verts)
         while i < n:
@@ -483,6 +406,8 @@ def _count_dualize(
                 tick()
                 acc[depth + 1 - base] = acc.get(depth + 1 - base, 0) + 1
                 note_result()
+                if emit is not None:
+                    emit(chosen + [v])
                 continue
             saved = []
             rest = steal & critical
@@ -509,14 +434,16 @@ def _count_dualize(
                 rest ^= low
                 if not edges_at[low.bit_length() - 1] & child_uncov:
                     child_live ^= low
+            chosen.append(v)
             if visit(
                 child_uncov, child_cand, touched, child_live,
-                (critical & ~steal) | covered, depth + 1, relevant + (v,),
+                (critical & ~steal) | covered, relevant + (v,),
             ):
                 frame[1] = cand
-                frame[8] = i
-                frame[10] = (v, saved)
+                frame[7] = i
+                frame[9] = saved
                 break
+            chosen.pop()
             del crit[v]
             for u, private in saved:
                 crit[u] = private
@@ -533,6 +460,26 @@ def _count_dualize(
                     parent_acc[k + shift] = parent_acc.get(k + shift, 0) + c
 
 
+def minimal_transversals(h: Hypergraph, budget: Budget | None = None) -> list[frozenset[int]]:
+    """All minimal hitting sets, sorted by (size, members).
+
+    Listed by the walk of ``transversal_counts`` without its table (see
+    ``_walk``).  Budget ticks are expanded nodes; an overrun's partial holds
+    the transversals listed so far, exactly ``max_results`` of them when
+    the result limit is hit.
+    """
+    out: list[frozenset[int]] = []
+    try:
+        _walk(
+            h.num_vertices, _edge_masks(h), _BudgetClock(budget), [(0, {})],
+            lambda chosen: out.append(frozenset(chosen)),
+        )
+    except _BudgetSignal as sig:
+        raise BudgetExceededError(str(sig), list(out)) from None
+    out.sort(key=lambda t: (len(t), sorted(t)))
+    return out
+
+
 def _shifted_sum(tallies: list[tuple[int, dict[int, int]]]) -> TransversalTally:
     by_size: dict[int, int] = {}
     for base, acc in tallies:
@@ -545,13 +492,13 @@ def transversal_counts(h: Hypergraph, budget: Budget | None = None) -> Transvers
     """Count minimal hitting sets per size without listing them.
 
     Subtrees with equal residual states are counted once (see
-    ``_count_dualize``).  Budget ticks are expanded nodes, and the result
+    ``_walk``).  Budget ticks are expanded nodes, and the result
     limit counts the transversals of a reused subtree too; an overrun's
     partial tally holds every transversal counted so far.
     """
     tallies: list[tuple[int, dict[int, int]]] = [(0, {})]
     try:
-        _count_dualize(h.num_vertices, _edge_masks(h), _BudgetClock(budget), tallies)
+        _walk(h.num_vertices, _edge_masks(h), _BudgetClock(budget), tallies)
     except _BudgetSignal as sig:
         raise BudgetExceededError(str(sig), _shifted_sum(tallies)) from None
     return _shifted_sum(tallies)
@@ -652,48 +599,51 @@ def _search_minimal_siphons(net: ReactionNetwork, budget: Budget | None) -> list
     minimal siphon is reached from its least member).  A leaf is a siphon,
     shrunk to a minimal one before it is recorded, so ``found`` holds only
     minimal siphons and a node containing one of them is pruned: no other
-    minimal siphon lies below it.  A budget overrun's partial holds the
-    masks found so far.
+    minimal siphon lies below it.  The search runs on an explicit stack, so
+    its depth is not bounded by the interpreter's recursion limit; children
+    are pushed in reverse and checked when popped, which keeps the order of
+    a recursive search.  A budget overrun's partial holds the masks found
+    so far.
     """
-    s = net.num_species
     masks = _reaction_masks(net)
     clock = _BudgetClock(budget)
+    tick = clock.tick
     found: list[int] = []
-
-    def rec(z: int, allowed: int, visited: set[int]) -> None:
-        clock.tick()
-        if z in visited:
-            return
-        visited.add(z)
-        for f in found:
-            if f & z == f:
-                return
-        best = None
-        best_count = None
-        for reac, prod in masks:
-            if prod & z and not reac & z:
-                options = reac & allowed
-                c = options.bit_count()
-                if c == 0:
-                    return
-                if best_count is None or c < best_count:
-                    best, best_count = options, c
-                    if c == 1:
-                        break
-        if best is None:
-            clock.note_result()
-            found.append(_shrink_to_minimal(z, masks))
-            return
-        branch = best
-        while branch:
-            vbit = branch & -branch
-            branch &= branch - 1
-            rec(z | vbit, allowed, visited)
-
     try:
-        for seed in range(s):
+        for seed in range(net.num_species):
             allowed = ~((1 << seed) - 1)
-            rec(1 << seed, allowed, set())
+            visited: set[int] = set()
+            stack = [1 << seed]
+            while stack:
+                z = stack.pop()
+                tick()
+                if z in visited:
+                    continue
+                visited.add(z)
+                for f in found:
+                    if f & z == f:
+                        break
+                else:
+                    # the violated clause with the fewest options; one with
+                    # none leaves ``best`` empty, a dead end
+                    best = None
+                    best_count = 0
+                    for reac, prod in masks:
+                        if prod & z and not reac & z:
+                            options = reac & allowed
+                            c = options.bit_count()
+                            if best is None or c < best_count:
+                                best, best_count = options, c
+                                if c <= 1:
+                                    break
+                    if best is None:
+                        clock.note_result()
+                        found.append(_shrink_to_minimal(z, masks))
+                    # highest bit first, so the lowest is popped first
+                    while best:
+                        top = 1 << (best.bit_length() - 1)
+                        best ^= top
+                        stack.append(z | top)
     except _BudgetSignal as sig:
         raise BudgetExceededError(str(sig), list(found)) from None
     return found

@@ -42,6 +42,14 @@ Y -> S0 + F
 
 TWO_SPECIES = "X <-> Y\n"
 
+# One minimal siphon of 1,201 species, reached deeper than the interpreter's
+# default recursion limit: the chain is strongly connected (the transversal
+# route), the cycle with a drain is not (the search route).
+DEEP_CHAIN = "\n".join(f"A{i} <-> A{i + 1}" for i in range(1200))
+DEEP_DRAINED_CYCLE = "\n".join(
+    [f"A{i} -> A{i + 1}" for i in range(1200)] + ["A1200 -> A0", "A0 -> B"]
+)
+
 
 def chain_network(s: int) -> ReactionNetwork:
     """Reversible chain c1c2 <-> c2c3 <-> ... with s species."""

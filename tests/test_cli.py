@@ -7,7 +7,13 @@ import json
 
 import pytest
 
-from conftest import ENZYME_INHIBITOR, FUTILE_CYCLE, RECEPTOR_LIGAND
+from conftest import (
+    DEEP_CHAIN,
+    DEEP_DRAINED_CYCLE,
+    ENZYME_INHIBITOR,
+    FUTILE_CYCLE,
+    RECEPTOR_LIGAND,
+)
 from crnsiphon.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -48,6 +54,16 @@ class TestSiphonsCommand:
         code, out, _ = invoke(["siphons", "--count-only", "--histogram", receptor_file])
         assert code == EXIT_OK
         assert out.splitlines() == ["total 3", "3 3"]
+
+    @pytest.mark.parametrize(
+        "text", [DEEP_CHAIN, DEEP_DRAINED_CYCLE], ids=["chain", "drained-cycle"]
+    )
+    def test_deeper_than_the_recursion_limit(self, tmp_path, text):
+        path = tmp_path / "deep.crn"
+        path.write_text(text)
+        code, out, err = invoke(["siphons", str(path)])
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines() == [" ".join(f"A{i}" for i in range(1201))]
 
     def test_brute_force_option_is_gone(self, receptor_file):
         # the subset oracle is a library function the tests compare against

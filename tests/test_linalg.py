@@ -215,6 +215,10 @@ class TestConservationBasis:
         basis = conservation_basis(two_species)
         assert basis.matrix.entries == ((Fraction(1), Fraction(1)),)
 
+    def test_computed_once_per_network(self):
+        net = grid_minors_network(5)
+        assert conservation_basis(net) is conservation_basis(net)
+
     def test_grid5_row_column_sums(self):
         net = grid_minors_network(5)
         basis = conservation_basis(net)

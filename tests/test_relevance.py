@@ -312,8 +312,9 @@ class TestAnalyze:
         report = analyze(parse_network(RECEPTOR_LIGAND), c0=OMEGA1)
         assert len(report.siphons) == 3
         assert calls["_complex_graph_connectivity"] == 1
-        # once for the conservation basis, once for the LP rows of every siphon
-        assert calls["stoichiometric_generators"] == 2
+        # once: the conservation basis and the LP rows of every siphon share
+        # the network's cached net-change vectors
+        assert calls["stoichiometric_generators"] == 1
 
     def test_minimal_siphons_are_not_rechecked(self, monkeypatch):
         import crnsiphon.relevance as relevance_module

@@ -7,7 +7,13 @@ import random
 
 import pytest
 
-from conftest import chain_network, grid_minors_network, random_network
+from conftest import (
+    DEEP_CHAIN,
+    DEEP_DRAINED_CYCLE,
+    chain_network,
+    grid_minors_network,
+    random_network,
+)
 from crnsiphon.network import (
     Complex,
     ReactionNetwork,
@@ -200,6 +206,16 @@ class TestBudgets:
         assert len(partial) == 27
         assert set(partial) <= set(full)
 
+    def test_transversal_partial_holds_exactly_the_limit(self):
+        h = complex_support_hypergraph(grid_minors_network(6))
+        full = set(minimal_transversals(h))
+        for k in (1, 10, 1000):
+            with pytest.raises(BudgetExceededError) as exc:
+                minimal_transversals(h, Budget(max_results=k))
+            partial = exc.value.partial
+            assert len(partial) == len(set(partial)) == k
+            assert set(partial) <= full
+
     def test_brute_force_guard(self):
         net = chain_network(23)
         with pytest.raises(ValueError, match="limited to"):
@@ -213,6 +229,22 @@ def brute_force_transversals(h: Hypergraph) -> set[frozenset[int]]:
         if all(t & e for e in h.edges):
             hits.append(frozenset(t))
     return {t for t in hits if not any(o < t for o in hits)}
+
+
+def berge_transversals(h: Hypergraph) -> set[frozenset[int]]:
+    """Berge's dualization, one edge at a time: extend each minimal
+    transversal of the edges so far that misses the next edge by each of
+    its vertices, then keep the minimal sets.  Shares no code with MMCS."""
+    found = [frozenset()]
+    for e in h.edges:
+        grown = set()
+        for t in found:
+            grown.update([t] if t & e else (t | {v} for v in e))
+        found = []
+        for t in sorted(grown, key=len):
+            if not any(o <= t for o in found):
+                found.append(t)
+    return set(found)
 
 
 class TestTransversals:
@@ -338,11 +370,16 @@ def chain2100():
 
 
 class TestTransversalCounts:
-    """The memoized count against the listing dualizer and closed forms."""
+    """The count and the listing against Berge's dualization and each
+    other, and the count against closed forms."""
 
     def assert_counts_match(self, h: Hypergraph) -> None:
+        expected = berge_transversals(h)
         listed = minimal_transversals(h)
         tally = transversal_counts(h)
+        assert len(listed) == len(expected) and set(listed) == expected
+        assert tally.total == len(expected)
+        assert tally.by_size == size_tally(expected)
         assert tally.total == len(listed)
         assert tally.by_size == size_tally(listed)
 
@@ -458,6 +495,19 @@ class TestMinimalSiphonCounts:
         partial = exc.value.partial
         assert isinstance(partial, TransversalTally)
         assert partial.total == sum(partial.by_size.values()) == 3
+
+
+class TestDeepNetworks:
+    """A walk deeper than the interpreter's default recursion limit."""
+
+    @pytest.mark.parametrize(
+        "text", [DEEP_CHAIN, DEEP_DRAINED_CYCLE], ids=["chain", "drained-cycle"]
+    )
+    def test_one_siphon_of_every_a_species(self, text):
+        net = parse_network(text)
+        members = tuple(net.species.index[f"A{i}"] for i in range(1201))
+        assert minimal_siphons(net) == [Siphon(members)]
+        assert minimal_siphon_counts(net).by_size == {1201: 1}
 
 
 class TestLeafShrink:
