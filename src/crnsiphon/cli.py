@@ -25,6 +25,7 @@ points are rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -361,7 +362,14 @@ def _render_polynomial(terms, names) -> str:
     return text
 
 
+@functools.cache
 def build_arg_parser() -> _Parser:
+    """The ``crnsiphon`` parser, built at the first call and then shared.
+
+    Sharing is safe because parsing keeps no state in the parser: every
+    ``parse_args`` fills a fresh namespace (``--assign`` appends into that
+    namespace's list), and a usage error raises ``UsageError``.
+    """
     parser = _Parser(prog="crnsiphon", description="exact siphon analysis of reaction networks")
     parser.add_argument("--version", action="version", version=f"crnsiphon {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -520,8 +528,7 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
                 collect_timing=args.timing,
             )
             if args.format == "json":
-                json.dump(_report_to_dict(report), out, indent=2)
-                out.write("\n")
+                out.write(json.dumps(_report_to_dict(report), indent=2) + "\n")
             else:
                 out.write(_report_to_text(report))
             return EXIT_OK

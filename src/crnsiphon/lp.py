@@ -7,7 +7,13 @@ once, when the system is made (``LinearSystem.integer_rows``; systems
 that share rows, such as the faces of one invariant polytope, share the
 scaled rows too), and Edmonds/Bareiss pivots ``(x*piv - f*p) // det``
 keep every entry an integer, the division always exact, so no Fraction
-is built inside the loop.  Signs and ratios are compared on integers by
+is built inside the loop.  A unit pivot, one whose entry equals the
+current determinant (most pivots on integer data such as the grid's),
+leaves a row's entry unchanged wherever the pivot row or the row's
+entering entry is zero, so it updates only the pivot row's non-zero
+columns of the rows it touches, each by an exact ``f*p // det``; any
+other pivot rebuilds its rows with one division of the whole numerator
+(see ``_bareiss_update``).  Signs and ratios are compared on integers by
 cross-multiplication; the pivot sequence is the one a Fraction tableau
 with the same rule would take.  A feasible system returns a basic
 feasible point; an infeasible one returns a Farkas certificate:
@@ -261,10 +267,11 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
             raise AssertionError("phase-one objective is bounded; no leaving row found")
         prow = tab[leave_row]
         piv = prow[enter]
+        support = [(j, p) for j, p in enumerate(prow) if p] if piv == det else None
         for i in range(m):
             if i != leave_row:
-                tab[i] = _bareiss_update(tab[i], prow, enter, piv, det)
-        obj = _bareiss_update(obj, prow, enter, piv, det)
+                tab[i] = _bareiss_update(tab[i], prow, enter, piv, det, support)
+        obj = _bareiss_update(obj, prow, enter, piv, det, support)
         det = piv
         basis[leave_row] = enter
 
@@ -291,12 +298,32 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
     return FeasibilityResult(False, certificate=cert)
 
 
-def _bareiss_update(row: list[int], prow: list[int], col: int, piv: int, det: int) -> list[int]:
-    """Row after pivoting on ``prow[col] = piv``: ``(x*piv - f*p) // det``."""
+def _bareiss_update(
+    row: list[int],
+    prow: list[int],
+    col: int,
+    piv: int,
+    det: int,
+    support: list[tuple[int, int]] | None,
+) -> list[int]:
+    """Row after pivoting on ``prow[col] = piv``: ``(x*piv - f*p) // det``.
+
+    A unit pivot (``piv == det``, ``support`` the non-zero ``(j, p)`` of
+    ``prow``) changes the row in place and only where ``p != 0``: the new
+    entry is ``x - f*p/det``, and ``f*p`` is a multiple of ``det`` because
+    ``x*det - f*p`` is, so ``f*p // det`` is exact; a row with ``f = 0``
+    is left as it is.  Any other pivot rebuilds the row with one floor
+    division of the whole numerator, which is exact: ``x*piv`` and ``f*p``
+    need not be multiples of ``det`` one by one, so splitting it would rest
+    on their remainders cancelling and cost a second division per entry.
+    """
     f = row[col]
+    if support is not None:
+        if f:
+            for j, p in support:
+                row[j] -= f * p // det
+        return row
     if f == 0:
-        if piv == det:
-            return row
         return [x * piv // det for x in row]
     return [(x * piv - f * p) // det for x, p in zip(row, prow)]
 

@@ -14,12 +14,14 @@ from conftest import (
     FUTILE_CYCLE,
     RECEPTOR_LIGAND,
 )
+from crnsiphon import __version__
 from crnsiphon.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
+    build_arg_parser,
     run,
 )
 
@@ -137,6 +139,35 @@ class TestErrors:
     def test_unknown_subcommand(self, receptor_file):
         code, _, _ = invoke(["frobnicate", receptor_file])
         assert code == EXIT_USAGE
+
+
+class TestSharedParser:
+    """``run`` builds its parser once per process; no call may see another's
+    arguments or errors."""
+
+    def test_calls_share_no_state(self, receptor_file):
+        assert build_arg_parser() is build_arg_parser()
+        code, by_assign, _ = invoke(
+            ["vertices", "--assign", "A=1/10,B=1/10", "--assign", "C=1,D=1/10,E=1/10",
+             receptor_file]
+        )
+        assert code == EXIT_OK and by_assign
+        code, out, err = invoke(["vertices", receptor_file])
+        assert code == EXIT_USAGE and out == ""
+        assert "requires --c0 or --assign" in err
+        code, by_vec, _ = invoke(["vertices", "--c0", "1/10,1/10,1,1/10,1/10", receptor_file])
+        assert code == EXIT_OK and by_vec == by_assign
+        code, _, err = invoke(["vertices", "--frobnicate", receptor_file])
+        assert code == EXIT_USAGE and "--frobnicate" in err
+        code, _, err = invoke(["vertices", "--c0", "1/10,1/10,1,1/10,1/10", receptor_file])
+        assert code == EXIT_OK and err == ""
+
+    def test_version_twice(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == f"crnsiphon {__version__}\n"
 
 
 class TestGeometryCommands:

@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import crnsiphon.geometry as geometry_module
+import crnsiphon.lp as lp_module
+import crnsiphon.relevance as relevance_module
 from conftest import random_network
 from crnsiphon.linalg import RationalMatrix, rank, row_reduce
 from crnsiphon.lp import (
@@ -16,7 +19,7 @@ from crnsiphon.lp import (
     verify_certificate,
     verify_witness,
 )
-from crnsiphon.relevance import supported_conservation_system
+from crnsiphon.relevance import analyze, supported_conservation_system
 from crnsiphon.siphons import Siphon
 
 F = Fraction
@@ -328,16 +331,30 @@ class TestRationalKernel:
         assert at_optimum.witness[:4] == (F(1, 25), 0, 1, 0)
         assert not _assert_verified(beale(F(-1, 20) - F(1, 100))).feasible
 
-    def test_same_pivots_as_the_fraction_tableau(self):
+    def test_same_pivots_as_the_fraction_tableau(self, monkeypatch):
+        # Rational rows give pivots off the determinant (piv != det), on
+        # rows with a zero and a non-zero entering entry; sparse {-1, 0, 1}
+        # rows give mostly unit pivots (piv == det), the sparse update.
         rng = random.Random(41)
+        paths = set()
+        real_update = lp_module._bareiss_update
+
+        def traced(row, prow, col, piv, det, support):
+            paths.add((piv == det, row[col] == 0))
+            return real_update(row, prow, col, piv, det, support)
+
+        monkeypatch.setattr(lp_module, "_bareiss_update", traced)
+
+        def rational():
+            return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5, 6)))
+
+        def unit():
+            return F(rng.choice((-1, 0, 0, 0, 1)))
+
         kinds = set()
-        for _ in range(300):
-            n = rng.randint(1, 6)
-            m = rng.randint(0, 4)
-
-            def q():
-                return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5, 6)))
-
+        for q, max_n, max_m in [(rational, 6, 4)] * 300 + [(unit, 12, 10)] * 200:
+            n = rng.randint(1, max_n)
+            m = rng.randint(0, max_m)
             rows = [([q() for _ in range(n)], q()) for _ in range(m)]
             nonneg = [j for j in range(n) if rng.random() < 0.7]
             zero = [j for j in range(n) if rng.random() < 0.1]
@@ -347,6 +364,30 @@ class TestRationalKernel:
             assert (res.witness, res.certificate) == _reference_feasible(sys_)
             kinds.add(res.feasible)
         assert kinds == {True, False}
+        assert paths == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_same_answers_as_the_fraction_tableau_on_the_grid(self, grid5, monkeypatch):
+        # every LP of one grid5 analysis: conservation laws, c0 faces,
+        # sample faces and the affine_dim probes
+        ones = [F(1)] * 25
+        center = grid5.species.index["c33"]
+        reduced, enlarged = list(ones), list(ones)
+        reduced[center], enlarged[center] = F(1, 2), F(3, 2)
+        solved = []
+        real = lp_module.feasible
+
+        def recorded(system):
+            res = real(system)
+            solved.append((system, res))
+            return res
+
+        for module in (lp_module, geometry_module, relevance_module):
+            monkeypatch.setattr(module, "feasible", recorded)
+        analyze(grid5, c0=ones, omega_samples=[reduced, enlarged])
+        assert len(solved) == 132
+        assert {res.feasible for _, res in solved} == {True, False}
+        for system, res in solved:
+            assert (res.witness, res.certificate) == _reference_feasible(system)
 
 
 class TestAffineDim:
@@ -417,8 +458,6 @@ class TestAffineDim:
         assert pinned_somewhere > 200
 
     def test_given_first_result_is_not_solved_again(self, monkeypatch):
-        import crnsiphon.lp as lp_module
-
         sys_ = _simple(3, [([1, 1, 1], 1), ([1, -1, 0], 0)], nonneg=[0, 1, 2])
         first = feasible(sys_).witness
         calls = []
