@@ -17,11 +17,12 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from crnsiphon.network import parse_network
+from crnsiphon.network import ReactionNetwork, parse_network
 from crnsiphon.relevance import analyze
 
 
-def grid_minors_network(n: int):
+def grid_minors_network(n: int) -> ReactionNetwork:
+    """Adjacent 2x2-minor reactions on an n x n species grid."""
     lines = [
         "species " + ", ".join(f"c{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     ]

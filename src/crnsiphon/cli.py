@@ -103,14 +103,23 @@ def _parse_c0(net: ReactionNetwork, args) -> tuple[Fraction, ...] | None:
     return None
 
 
+def _read_text(path: str) -> str:
+    """The whole of an input file; any ``OSError`` (a missing file, a
+    directory, no permission) is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _data_lines(path: str) -> Iterator[tuple[int, str]]:
     """(line number, text) of each line of a data file that is not blank
     once its ``#`` comment is stripped."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield line_no, line
+    for line_no, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
 
 
 def _read_samples(path: str, net: ReactionNetwork) -> list[tuple[Fraction, ...]]:
@@ -177,22 +186,22 @@ def _parse_siphon(net: ReactionNetwork, text: str | None) -> tuple[int, ...]:
 
 def _budget_from(args) -> Budget | None:
     max_ms = getattr(args, "budget_ms", None)
+    source = "--budget-ms"
     if max_ms is None:
         env = os.environ.get("SIPHON_BUDGET_MS")
         if env:
+            source = "SIPHON_BUDGET_MS"
             try:
                 max_ms = int(env)
             except ValueError:
                 raise UsageError(f"SIPHON_BUDGET_MS must be an integer, got {env!r}") from None
     max_results = getattr(args, "max_results", None)
+    for name, value in ((source, max_ms), ("--max-results", max_results)):
+        if value is not None and value < 0:
+            raise UsageError(f"{name} must not be negative, got {value}")
     if max_ms is None and max_results is None:
         return None
     return Budget(max_results=max_results, max_ms=max_ms)
-
-
-def _load_network(path: str) -> ReactionNetwork:
-    with open(path, encoding="utf-8") as fh:
-        return parse_network(fh.read())
 
 
 def _report_to_dict(report: AnalysisReport) -> dict:
@@ -473,7 +482,7 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
-        net = _load_network(args.input)
+        net = parse_network(_read_text(args.input))
 
         if args.command == "parse":
             out.write(canonical_text(net))
@@ -567,9 +576,6 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
         if isinstance(exc, ParseError):
             print(f"parse error: {exc}", file=err)
             return EXIT_PARSE
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
     except BudgetExceededError as exc:

@@ -14,6 +14,16 @@ Species not covered by a ``species`` line are indexed in order of first
 appearance.  Reversible arrows are expanded immediately; only directed
 reactions survive parsing.  A rate label on a reversible line is suffixed
 ``_fwd`` / ``_rev`` for the two directions.
+
+Parsing reads each line once.  After the ``#`` comment is cut off, one
+ASCII-only pattern (arrows, digit runs, identifiers, ``+ ; = ,``) lists the
+line's tokens in a single ``findall``; the tokens plus the spaces and tabs
+must make up the whole line, so any other character (a non-ASCII letter or
+digit included) is an error.  The grammar then walks the token list by
+index.  Columns are not tracked: an error's column is found only when it
+is raised, by scanning that one line again.  Each distinct complex is keyed
+by its ``(species, coefficient)`` items while parsing, and its exponent
+vector over all species is built once, when the species are known.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 
 from crnsiphon.linalg import RationalMatrix, SubspaceBasis, nullspace_basis
 
@@ -39,8 +50,12 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+# ASCII only: \w and \d would let non-ASCII letters and digits through
+_TOKEN_RE = re.compile(r"<->|->|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[+;=,]")
+_ARROWS = ("->", "<->")
+_COMPLEX_ENDS = ("->", "<->", ";")
 _MAX_COEFF = 2**31 - 1
+_MAX_COEFF_DIGITS = len(str(_MAX_COEFF))
 
 
 class ParseError(ValueError):
@@ -86,12 +101,12 @@ class Complex:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if any(e < 0 for e in self.exponents):
+        if min(self.exponents, default=0) < 0:
             raise ValueError("complex exponents must be non-negative")
 
     @cached_property
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, e in enumerate(self.exponents) if e > 0)
+        return frozenset(compress(range(len(self.exponents)), self.exponents))
 
     @property
     def is_zero(self) -> bool:
@@ -206,182 +221,177 @@ class ConnectivityInfo:
 # parsing
 
 
-class _LineTokens:
-    """Tokenizer for a single statement line, tracking columns for errors."""
-
-    def __init__(self, text: str, line_no: int):
-        self.line_no = line_no
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, value, column)
-        pos = 0
-        n = len(text)
-        while pos < n:
-            ch = text[pos]
-            if ch in " \t":
-                pos += 1
-                continue
-            col = pos + 1
-            if text.startswith("<->", pos):
-                self.tokens.append(("ARROW", "<->", col))
-                pos += 3
-            elif text.startswith("->", pos):
-                self.tokens.append(("ARROW", "->", col))
-                pos += 2
-            elif "0" <= ch <= "9":
-                m = _INT_RE.match(text, pos)
-                self.tokens.append(("INT", m.group(0), col))
-                pos = m.end()
-            elif m := _IDENT_RE.match(text, pos):
-                self.tokens.append(("IDENT", m.group(0), col))
-                pos = m.end()
-            elif ch in "+;=,":
-                self.tokens.append((ch, ch, col))
-                pos += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line_no, col)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int] | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok is None:
-            raise ParseError(f"expected {what} at end of line", self.line_no)
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}, found {tok[1]!r}", self.line_no, tok[2])
-        return tok
+def _token_columns(line: str, line_no: int) -> list[int]:
+    """1-based column of every token of ``line``, scanned one position at a
+    time; raises on the first character no token covers.  Only an error
+    pays for this scan."""
+    columns = []
+    pos = 0
+    while pos < len(line):
+        if line[pos] in " \t":
+            pos += 1
+            continue
+        m = _TOKEN_RE.match(line, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {line[pos]!r}", line_no, pos + 1)
+        columns.append(pos + 1)
+        pos = m.end()
+    return columns
 
 
-class _Builder:
-    def __init__(self):
-        self.species_order: list[str] = []
-        self.species_seen: set[str] = set()
-        self.raw_reactions: list[tuple[dict[str, int], dict[str, int], str | None, int]] = []
+class _Syntax(Exception):
+    """A grammar error at token ``index`` of the current line (``None``:
+    at the line as a whole); :func:`parse_network` turns it into a
+    :class:`ParseError` with the line number and column."""
 
-    def declare(self, name: str, line_no: int, col: int):
-        if name in self.species_seen:
-            raise ParseError(f"species {name!r} declared twice", line_no, col)
-        self.species_seen.add(name)
-        self.species_order.append(name)
-
-    def note_species(self, name: str):
-        if name not in self.species_seen:
-            self.species_seen.add(name)
-            self.species_order.append(name)
+    def __init__(self, message: str, index: int | None = None):
+        self.message = message
+        self.index = index
 
 
-def _parse_complex(toks: _LineTokens, builder: _Builder) -> dict[str, int]:
-    tok = toks.peek()
-    if tok is None:
-        raise ParseError("expected a complex at end of line", toks.line_no)
-    if tok[0] == "INT" and tok[1] == "0":
-        nxt = toks.tokens[toks.pos + 1] if toks.pos + 1 < len(toks.tokens) else None
-        if nxt is None or nxt[0] in ("ARROW", ";"):
-            toks.next()
-            return {}
+def _expected(what: str, toks: list[str], i: int) -> _Syntax:
+    if i >= len(toks):
+        return _Syntax(f"expected {what} at end of line")
+    return _Syntax(f"expected {what}, found {toks[i]!r}", i)
+
+
+def _coefficient(toks: list[str], i: int) -> int:
+    # count the digits first: int() refuses strings past CPython's digit limit
+    digits = toks[i].lstrip("0")
+    if not digits:
+        raise _Syntax("stoichiometric coefficient must be >= 1", i)
+    if len(digits) > _MAX_COEFF_DIGITS or int(digits) > _MAX_COEFF:
+        raise _Syntax("stoichiometric coefficient too large", i)
+    return int(digits)
+
+
+def _complex(toks: list[str], i: int, species: dict[str, int]) -> tuple[frozenset, int]:
+    """The complex that starts at token ``i``, keyed by its ``(name,
+    coefficient)`` items, and the index after it; notes new species."""
+    n = len(toks)
+    if i >= n:
+        raise _Syntax("expected a complex at end of line")
+    if toks[i] == "0" and (i + 1 == n or toks[i + 1] in _COMPLEX_ENDS):
+        return frozenset(), i + 1
     coeffs: dict[str, int] = {}
     while True:
-        tok = toks.next()
-        if tok is None:
-            raise ParseError("expected a species term at end of line", toks.line_no)
-        kind, value, col = tok
+        if i >= n:
+            raise _Syntax("expected a species term at end of line")
+        tok = toks[i]
         coeff = 1
-        if kind == "INT":
-            coeff = int(value)
-            if coeff < 1:
-                raise ParseError("stoichiometric coefficient must be >= 1", toks.line_no, col)
-            if coeff > _MAX_COEFF:
-                raise ParseError("stoichiometric coefficient too large", toks.line_no, col)
-            kind, value, col = toks.expect("IDENT", "species name")
-        if kind != "IDENT":
-            raise ParseError(f"expected a species term, found {value!r}", toks.line_no, col)
-        builder.note_species(value)
-        coeffs[value] = coeffs.get(value, 0) + coeff
-        nxt = toks.peek()
-        if nxt is not None and nxt[0] == "+":
-            toks.next()
+        if tok.isdigit():
+            coeff = _coefficient(toks, i)
+            i += 1
+            if i >= n or not toks[i].isidentifier():
+                raise _expected("species name", toks, i)
+            tok = toks[i]
+        elif not tok.isidentifier():
+            raise _Syntax(f"expected a species term, found {tok!r}", i)
+        if tok not in species:
+            species[tok] = len(species)
+        coeffs[tok] = coeffs.get(tok, 0) + coeff
+        i += 1
+        if i < n and toks[i] == "+":
+            i += 1
             continue
-        return coeffs
+        return frozenset(coeffs.items()), i
 
 
-def _parse_reaction_line(toks: _LineTokens, builder: _Builder):
-    lhs = _parse_complex(toks, builder)
-    arrow = toks.expect("ARROW", "'->' or '<->'")
-    rhs = _parse_complex(toks, builder)
+def _declare_species(toks: list[str], species: dict[str, int]):
+    i = 1
+    while True:
+        if i >= len(toks) or not toks[i].isidentifier():
+            raise _expected("species name", toks, i)
+        if toks[i] in species:
+            raise _Syntax(f"species {toks[i]!r} declared twice", i)
+        species[toks[i]] = len(species)
+        i += 1
+        if i == len(toks):
+            return
+        if toks[i] != ",":
+            raise _expected("','", toks, i)
+        i += 1
+
+
+def _reactions(toks: list[str], species: dict[str, int]) -> tuple:
+    """``(source key, target key, rate label, reversible)`` of the line."""
+    n = len(toks)
+    lhs, i = _complex(toks, 0, species)
+    if i >= n or toks[i] not in _ARROWS:
+        raise _expected("'->' or '<->'", toks, i)
+    arrow = toks[i]
+    rhs, i = _complex(toks, i + 1, species)
     label: str | None = None
-    tok = toks.peek()
-    if tok is not None:
-        if tok[0] != ";":
-            raise ParseError(f"unexpected trailing {tok[1]!r}", toks.line_no, tok[2])
-        toks.next()
-        key = toks.expect("IDENT", "'k'")
-        if key[1] != "k":
-            raise ParseError("rate label must be written '; k=<name>'", toks.line_no, key[2])
-        toks.expect("=", "'='")
-        label = toks.expect("IDENT", "rate label")[1]
-        tok = toks.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected trailing {tok[1]!r}", toks.line_no, tok[2])
-    if arrow[1] == "<->":
-        fwd = f"{label}_fwd" if label else None
-        rev = f"{label}_rev" if label else None
-        builder.raw_reactions.append((lhs, rhs, fwd, toks.line_no))
-        builder.raw_reactions.append((rhs, lhs, rev, toks.line_no))
-    else:
-        builder.raw_reactions.append((lhs, rhs, label, toks.line_no))
+    if i < n:
+        if toks[i] != ";":
+            raise _Syntax(f"unexpected trailing {toks[i]!r}", i)
+        i += 1
+        if i >= n or not toks[i].isidentifier():
+            raise _expected("'k'", toks, i)
+        if toks[i] != "k":
+            raise _Syntax("rate label must be written '; k=<name>'", i)
+        i += 1
+        if i >= n or toks[i] != "=":
+            raise _expected("'='", toks, i)
+        i += 1
+        if i >= n or not toks[i].isidentifier():
+            raise _expected("rate label", toks, i)
+        label = toks[i]
+        i += 1
+        if i < n:
+            raise _Syntax(f"unexpected trailing {toks[i]!r}", i)
+    return lhs, rhs, label, arrow == "<->"
 
 
 def parse_network(text: str) -> ReactionNetwork:
     """Parse a network description; raises :class:`ParseError` on bad input."""
-    builder = _Builder()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+    species: dict[str, int] = {}  # name -> coordinate, in order of appearance
+    raw: list[tuple[frozenset, frozenset, str | None, int]] = []
+    for line_no, full in enumerate(text.splitlines(), start=1):
+        # rstrip leaves a line that is empty or ends in a non-blank
+        line = full.split("#", 1)[0].rstrip()
+        if not line:
             continue
-        toks = _LineTokens(line, line_no)
-        first = toks.peek()
-        if first is not None and first[0] == "IDENT" and first[1] == "species":
-            toks.next()
-            name = toks.expect("IDENT", "species name")
-            builder.declare(name[1], line_no, name[2])
-            while toks.peek() is not None:
-                toks.expect(",", "','")
-                name = toks.expect("IDENT", "species name")
-                builder.declare(name[1], line_no, name[2])
-            continue
-        _parse_reaction_line(toks, builder)
+        toks = _TOKEN_RE.findall(line)
+        # the tokens and the blanks must account for every character
+        if len("".join(toks)) + line.count(" ") + line.count("\t") != len(line):
+            _token_columns(line, line_no)
+        try:
+            if toks[0] == "species":
+                _declare_species(toks, species)
+                continue
+            lhs, rhs, label, reversible = _reactions(toks, species)
+        except _Syntax as exc:
+            column = None if exc.index is None else _token_columns(line, line_no)[exc.index]
+            raise ParseError(exc.message, line_no, column) from None
+        if reversible:
+            raw.append((lhs, rhs, f"{label}_fwd" if label else None, line_no))
+            raw.append((rhs, lhs, f"{label}_rev" if label else None, line_no))
+        else:
+            raw.append((lhs, rhs, label, line_no))
 
-    if not builder.raw_reactions:
+    if not raw:
         raise ParseError("network has no reactions")
 
-    species = SpeciesTable(tuple(builder.species_order))
     s = len(species)
-
-    def exponents(coeffs: dict[str, int]) -> tuple[int, ...]:
-        vec = [0] * s
-        for name, c in coeffs.items():
-            vec[species.index[name]] = c
-        return tuple(vec)
-
-    complex_index: dict[tuple[int, ...], int] = {}
+    complex_index: dict[frozenset, int] = {}
     complexes: list[Complex] = []
+
+    def index_of(key: frozenset) -> int:
+        k = complex_index.get(key)
+        if k is None:
+            vec = [0] * s
+            for name, c in key:
+                vec[species[name]] = c
+            k = complex_index[key] = len(complexes)
+            complexes.append(Complex(tuple(vec)))
+        return k
+
     reactions: list[Reaction] = []
     edge_seen: set[tuple[int, int]] = set()
-    for lhs, rhs, label, line_no in builder.raw_reactions:
-        pair = []
-        for coeffs in (lhs, rhs):
-            exp = exponents(coeffs)
-            if exp not in complex_index:
-                complex_index[exp] = len(complexes)
-                complexes.append(Complex(exp))
-            pair.append(complex_index[exp])
-        src, tgt = pair
+    for lhs, rhs, label, line_no in raw:
+        src = index_of(lhs)
+        tgt = index_of(rhs)
         if src == tgt:
             raise ParseError("reaction has identical source and target complexes", line_no)
         if (src, tgt) in edge_seen:
@@ -389,7 +399,7 @@ def parse_network(text: str) -> ReactionNetwork:
         edge_seen.add((src, tgt))
         reactions.append(Reaction(src, tgt, label))
 
-    return ReactionNetwork(species, tuple(complexes), tuple(reactions))
+    return ReactionNetwork(SpeciesTable(tuple(species)), tuple(complexes), tuple(reactions))
 
 
 def canonical_text(net: ReactionNetwork) -> str:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,10 @@ from crnsiphon.network import (
     SpeciesTable,
     parse_network,
 )
+
+# the grid builder lives in the sweep script, which cannot import from tests/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from chamber_relevance_sweep import grid_minors_network  # noqa: E402
 
 RECEPTOR_LIGAND = """\
 # receptor-ligand dimer model: A receptor, B dimer, C ligand, D=AC, E=BC
@@ -54,17 +60,6 @@ DEEP_DRAINED_CYCLE = "\n".join(
 def chain_network(s: int) -> ReactionNetwork:
     """Reversible chain c1c2 <-> c2c3 <-> ... with s species."""
     lines = [f"c{i} + c{i+1} <-> c{i+1} + c{i+2}" for i in range(1, s - 1)]
-    return parse_network("\n".join(lines))
-
-
-def grid_minors_network(n: int) -> ReactionNetwork:
-    """Adjacent 2x2-minor reactions on an n x n species grid."""
-    lines = [
-        "species " + ", ".join(f"c{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-    ]
-    for i in range(1, n):
-        for j in range(1, n):
-            lines.append(f"c{i}{j} + c{i+1}{j+1} <-> c{i}{j+1} + c{i+1}{j}")
     return parse_network("\n".join(lines))
 
 

@@ -121,6 +121,60 @@ class TestErrors:
         code, _, _ = invoke(["parse", "/nonexistent/net.crn"])
         assert code == EXIT_USAGE
 
+    def test_directory_as_network(self, tmp_path):
+        code, out, err = invoke(["parse", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("option", ["--omega", "--symmetry"])
+    def test_directory_as_data_file(self, receptor_file, tmp_path, option):
+        code, out, err = invoke(["analyze", option, str(tmp_path), receptor_file])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_directory_as_kappa(self, receptor_file, tmp_path):
+        code, _, err = invoke(["ode", "--kappa", str(tmp_path), receptor_file])
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+
+    def test_over_long_coefficient_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "big.crn"
+        path.write_text("A -> B\n1" + "0" * 4300 + "A -> B\n")
+        code, out, err = invoke(["parse", str(path)])
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "parse error: stoichiometric coefficient too large (line 2, column 1)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["siphons", "--budget-ms", "-5"],
+            ["siphons", "--count-only", "--max-results", "-1"],
+            ["analyze", "--budget-ms", "-1"],
+            ["relevance", "--budget-ms", "-20"],
+        ],
+        ids=["budget-ms", "max-results", "analyze-budget-ms", "relevance-budget-ms"],
+    )
+    def test_negative_budget_is_a_usage_error(self, receptor_file, argv):
+        code, out, err = invoke(argv + [receptor_file])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "must not be negative" in err
+
+    def test_negative_budget_from_the_environment(self, receptor_file, monkeypatch):
+        monkeypatch.setenv("SIPHON_BUDGET_MS", "-5")
+        code, out, err = invoke(["siphons", receptor_file])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: SIPHON_BUDGET_MS must not be negative, got -5\n"
+
+    def test_zero_budget_is_allowed(self, receptor_file):
+        code, out, _ = invoke(["siphons", "--budget-ms", "0", "--max-results", "3", receptor_file])
+        assert code == EXIT_OK
+        assert out.splitlines() == ["A B E", "A C E", "C D E"]
+
     def test_bad_usage(self, receptor_file):
         code, _, err = invoke(["vertices", receptor_file])
         assert code == EXIT_USAGE

@@ -112,6 +112,20 @@ class TestParsing:
         assert exc.value.column == column
 
 
+    def test_over_long_coefficient_is_too_large(self):
+        # more digits than int() converts by default, counted before converting
+        with pytest.raises(ParseError, match="coefficient too large") as exc:
+            parse_network("A -> B\nC + 1" + "0" * 4300 + "A -> B")
+        assert exc.value.line == 2
+        assert exc.value.column == 5
+
+    def test_leading_zeros_do_not_count(self):
+        net = parse_network("0" * 5000 + "2A -> B")
+        assert net == parse_network("2A -> B")
+        with pytest.raises(ParseError, match="must be >= 1"):
+            parse_network("0" * 5000 + "A -> B")
+
+
 class TestValidation:
     def test_isolated_complex_rejected(self):
         species = SpeciesTable(("A", "B"))
