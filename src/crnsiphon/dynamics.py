@@ -144,11 +144,18 @@ def _random_face_point(s: int, members: set[int], rng: random.Random) -> Vec:
     return tuple(point)
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def check_face_invariance(
     net: ReactionNetwork, members: Iterable[int], trials: int = 20, seed: int = 0
 ) -> FaceCheckFailure | None:
     """For a siphon Z, verify the Z-coordinates of the field vanish on the
-    face x_Z = 0: structurally, and exactly at random sampled points."""
+    face x_Z = 0: structurally, and exactly at random sampled points.
+    ``trials`` must be at least 1."""
+    _require_trials(trials)
     z = set(members)
     if not is_siphon(net, z):
         raise ValueError("face invariance is only guaranteed for siphons")
@@ -173,7 +180,9 @@ def check_steady_face(
     net: ReactionNetwork, members: Iterable[int], trials: int = 20, seed: int = 0
 ) -> FaceCheckFailure | None:
     """For strongly connected networks every point of a siphon face is a
-    steady state: the whole field vanishes there, exactly."""
+    steady state: the whole field vanishes there, exactly.  ``trials``
+    must be at least 1."""
+    _require_trials(trials)
     if not connectivity(net).is_strongly_connected:
         raise ValueError("the steady-face property requires a strongly connected network")
     z = set(members)

@@ -248,6 +248,12 @@ class InvariantPolytope:
         scaled = (integer_row(row + (b,)) for row, b in zip(self.matrix.entries, self.rhs))
         return tuple((tuple(ints), scale) for ints, scale in scaled)
 
+    @cached_property
+    def integer_c0(self) -> tuple[int, ...]:
+        """``c0`` times the least positive integer clearing its
+        denominators, once per polytope."""
+        return tuple(integer_row(self.c0)[0])
+
     def face_system(self, zero_set: Iterable[int]) -> LinearSystem:
         s = self.num_species
         return LinearSystem(

@@ -15,15 +15,19 @@ columns of the rows it touches, each by an exact ``f*p // det``; any
 other pivot rebuilds its rows with one division of the whole numerator
 (see ``_bareiss_update``).  Signs and ratios are compared on integers by
 cross-multiplication; the pivot sequence is the one a Fraction tableau
-with the same rule would take.  A feasible system returns a basic
-feasible point; an infeasible one returns a Farkas certificate:
-multipliers that combine the equality rows into a linear form which is
-zero on free variables, non-positive on the variables constrained to be
-non-negative, yet has a positive right-hand side.  Both kinds of answer
-are mapped back to Fractions and re-verified before being returned, by
-:func:`verify_witness` and :func:`verify_certificate`: they test every
-row of the system in integers, scaling the answer themselves, and share
-no code with the pivots.
+with the same rule would take.  A row that is zero on every variable not
+pinned to 0 and has right-hand side 0 (an inert row, such as a net change
+outside the siphon in a conservation LP) is left out of the tableau: its
+artificial would stay basic at 0 untouched by every pivot, so dropping it
+changes no pivot, and its certificate multiplier is 1.  A feasible
+system returns a basic feasible point; an infeasible one returns a Farkas
+certificate: multipliers that combine the equality rows into a linear
+form which is zero on free variables, non-positive on the variables
+constrained to be non-negative, yet has a positive right-hand side.  Both
+kinds of answer are mapped back to Fractions and re-verified before being
+returned, by :func:`verify_witness` and :func:`verify_certificate`: they
+test every row of the system in integers, scaling the answer themselves,
+and share no code with the pivots.
 
 Systems are stated as ``A x = b`` plus per-variable domains: each variable
 is free, constrained ``>= 0``, or pinned to ``0`` (pinning dominates).  An
@@ -60,6 +64,7 @@ __all__ = [
 
 Vec = tuple[Fraction, ...]
 IntRow = tuple[tuple[int, ...], int]  # (row * scale, scale), see integer_row
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -201,7 +206,6 @@ def verify_certificate(system: LinearSystem, certificate: Sequence[Fraction]) ->
 def feasible(system: LinearSystem) -> FeasibilityResult:
     """Decide feasibility; the returned witness/certificate re-verifies."""
     rows = system.integer_rows
-    m = len(rows)
 
     # Internal columns: one per non-negative variable, a split pair per
     # free variable; pinned variables are dropped entirely.
@@ -213,35 +217,43 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
         if j not in system.nonneg:
             col_map.append((j, -1))
     k = len(col_map)
-    ncols = k + m
 
     # Integer rows: each row scaled to integers (``system.integer_rows``)
     # and multiplied by its rhs sign; the artificial column keeps entry 1,
     # so artificial i stands for scale_i times the artificial of row i.
+    # Inert rows (zero on every live column, rhs 0) are left out, as the
+    # module docstring explains; ``kept`` lists the original index of each
+    # row that stays.
     tab: list[list[int]] = []
     flips: list[int] = []
     scales: list[int] = []
+    kept: list[int] = []
     for i, (ints, scale) in enumerate(rows):
         sign = -1 if ints[-1] < 0 else 1
         row = [sign * s * ints[v] for v, s in col_map]
-        row += [0] * m
-        row[k + i] = 1
-        row.append(sign * ints[-1])
-        tab.append(row)
-        flips.append(sign)
-        scales.append(scale)
+        if ints[-1] or any(row):
+            row.append(sign * ints[-1])
+            tab.append(row)
+            flips.append(sign)
+            scales.append(scale)
+            kept.append(i)
+    m = len(tab)
+    ncols = k + m
 
     # Phase-one objective: minimize the sum of the original artificials,
     # i.e. artificial i at cost 1/scale_i, with the row multiplied by the
     # common multiple `big` of the scales to stay integral.  A positive
     # multiple of the objective and positive rescalings of variables leave
     # every sign and ratio the simplex compares unchanged, so the pivots
-    # are those of the same phase one run on the unscaled rows.
+    # are those of the same phase one run on the unscaled rows.  The
+    # artificials are unit columns, so their reduced costs start at 0.
     big = lcm(*scales)
     weights = [big // sc for sc in scales]
-    obj = [-sum(map(mul, weights, col)) for col in zip(*tab)] if m else [0] * (ncols + 1)
-    for i in range(m):
-        obj[k + i] += weights[i]
+    obj = [-sum(map(mul, weights, col)) for col in zip(*tab)] if m else [0] * (k + 1)
+    obj[k:k] = [0] * m
+    for i, row in enumerate(tab):
+        row[k:k] = [0] * m
+        row[k + i] = 1
 
     # Edmonds/Bareiss pivots: the current tableau is tab/det and obj/det,
     # and every update divides exactly.
@@ -276,23 +288,25 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
         basis[leave_row] = enter
 
     if all(tab[i][ncols] == 0 for i in range(m) if basis[i] >= k):
-        x = [Fraction(0)] * system.num_vars
+        x = [0] * system.num_vars  # the witness times det
         for i in range(m):
             if basis[i] < k:
                 v, s = col_map[basis[i]]
-                x[v] += s * Fraction(tab[i][ncols], det)
-        witness = tuple(x)
+                x[v] += s * tab[i][ncols]
+        witness = tuple(Fraction(v, det) if v else _ZERO for v in x)
         if not verify_witness(system, witness):
             raise AssertionError("internal error: witness failed exact re-verification")
         return FeasibilityResult(True, witness=witness)
 
     # Multiplier of row i is 1 - (reduced cost of its original artificial),
     # and that reduced cost is scale_i * obj[k+i] / (big * det); the sign
-    # flip returns it to the original row orientation.
+    # flip returns it to the original row orientation.  An inert row's
+    # multiplier is 1.
     scaled_det = big * det
-    cert = tuple(
-        Fraction(flips[i] * (scaled_det - scales[i] * obj[k + i]), scaled_det) for i in range(m)
-    )
+    cert = [_ONE] * len(rows)
+    for i, r in enumerate(kept):
+        cert[r] = Fraction(flips[i] * (scaled_det - scales[i] * obj[k + i]), scaled_det)
+    cert = tuple(cert)
     if not verify_certificate(system, cert):
         raise AssertionError("internal error: certificate failed exact re-verification")
     return FeasibilityResult(False, certificate=cert)

@@ -23,6 +23,12 @@ at every positive start, and a relevant siphon's face is decided by the
 face LP.  :func:`analyze` (``c0`` and ``omega_samples``),
 :func:`is_c0_relevant` and :func:`omega_relevant` all use it, so they
 return the same verdicts with the same witnesses.
+
+A declared symmetry must consist of automorphisms of the network.  A start
+fixed by some of them has the same answers on every siphon of an orbit
+under those, so :func:`analyze` computes a face dimension and a sample
+verdict once per orbit; a start that no map fixes leaves every orbit a
+singleton, and the same loop decides each siphon on its own.
 """
 
 from __future__ import annotations
@@ -36,11 +42,11 @@ from crnsiphon.geometry import ConeQ, Facet, InvariantPolytope, build_cone, cone
 from crnsiphon.linalg import (
     SubspaceBasis,
     conservation_basis,
-    integer_row,
     normalize_integer_vector,
 )
 from crnsiphon.lp import LinearSystem, affine_dim, feasible
 from crnsiphon.network import (
+    Complex,
     ConnectivityInfo,
     ReactionNetwork,
     connectivity,
@@ -148,7 +154,7 @@ def _start_verdict(verdict: RelevanceVerdict, polytope: InvariantPolytope) -> Re
     z = verdict.siphon
     law = verdict.conservation_law
     if law is not None:
-        c0, _ = integer_row(polytope.c0)
+        c0 = polytope.integer_c0
         if sum(w.numerator * x for w, x in zip(law, c0) if w) <= 0:
             raise AssertionError("internal error: conservation law vanishes at the start")
         return RelevanceVerdict(z, False, "conservation_lp", conservation_law=law)
@@ -249,6 +255,32 @@ def orbit_partition(
     return tuple(tuple(g) for g in sorted(groups.values()))
 
 
+def _require_automorphisms(net: ReactionNetwork, symmetry: Sequence[dict[int, int]]) -> None:
+    """Check that each declared permutation is an automorphism: a
+    permutation of the species that maps the reactions, taken as pairs of
+    (source, target) exponent vectors, onto themselves.  Raises ValueError
+    naming the first permutation (counted from 1) that is not one."""
+    s = net.num_species
+    species = list(range(s))
+    sparse = [frozenset((i, c.exponents[i]) for i in c.support) for c in net.complexes]
+    edges = {(sparse[r.source], sparse[r.target]) for r in net.reactions}
+    for k, perm in enumerate(symmetry, 1):
+        if sorted(perm) != species or sorted(perm.values()) != species:
+            raise ValueError(f"symmetry permutation {k} is not a permutation of the {s} species")
+        image = [frozenset((perm[i], e) for i, e in c) for c in sparse]
+        for r, reaction in enumerate(net.reactions):
+            if (image[reaction.source], image[reaction.target]) not in edges:
+                mapped = [
+                    Complex(tuple(dict(image[c]).get(i, 0) for i in species)).text(net.species)
+                    for c in (reaction.source, reaction.target)
+                ]
+                raise ValueError(
+                    f"symmetry permutation {k} is not an automorphism of the network: "
+                    f"it maps the reaction {net.reaction_text(r)} to {mapped[0]} -> "
+                    f"{mapped[1]}, which is not a reaction"
+                )
+
+
 def analyze(
     net: ReactionNetwork,
     c0: Sequence | None = None,
@@ -267,7 +299,22 @@ def analyze(
     every positive start: its law decides that without a face LP.  A
     budget overrun degrades to a partial, non-exhaustive report instead of
     failing.
+
+    ``symmetry`` lists species permutations (``perm[i]`` is the image of
+    species i); each must be an automorphism of the network, or ValueError
+    is raised before any work is done.  The report's ``orbits`` group the
+    siphons under all of them.  For each start, the automorphisms that fix
+    it (``c[perm[i]] == c[i]`` for every i) map its polytope onto itself
+    and the face ``x_Z = 0`` onto the face ``x_perm(Z) = 0``, so the face
+    dimension and the sample verdicts are computed once per orbit under
+    those maps and copied to the other members.  The conservation LP, the
+    facet check and the c0 face LP still run for every siphon, so every
+    printed law, certificate and face point is the siphon's own, and the
+    report equals the one computed without ``symmetry`` apart from
+    ``orbits``.
     """
+    automorphisms = list(symmetry or ())
+    _require_automorphisms(net, automorphisms)
     timings: dict[str, float] = {}
     t0 = time.monotonic()
 
@@ -291,8 +338,30 @@ def analyze(
     sample_polytopes = (
         [InvariantPolytope(basis.matrix, sm) for sm in omega_samples] if omega_samples else None
     )
+    partitions: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
-    def examine(z: Siphon) -> SiphonAnalysis:
+    def orbits_under(kept: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        if kept not in partitions:
+            partitions[kept] = orbit_partition(siphons, [automorphisms[k] for k in kept])
+        return partitions[kept]
+
+    def per_orbit(start: InvariantPolytope, decide) -> list:
+        """``decide(i)`` for the first siphon of each orbit under the
+        automorphisms that fix the start, copied to the rest of the orbit."""
+        c = start.integer_c0
+        kept = tuple(
+            k
+            for k, perm in enumerate(automorphisms)
+            if all(c[perm[i]] == x for i, x in enumerate(c))
+        )
+        answers: list = [None] * len(siphons)
+        for orbit in orbits_under(kept):
+            answer = decide(orbit[0])
+            for i in orbit:
+                answers[i] = answer
+        return answers
+
+    def examine(z: Siphon) -> tuple[RelevanceVerdict, RelevanceVerdict | None]:
         verdict = _lp_verdict(net, z)
         facet_verdict = None
         if facet_route_used:
@@ -303,23 +372,38 @@ def analyze(
                     f"conservation_lp={verdict.relevant}, facet={facet_verdict.relevant}"
                 )
             verdict = replace(verdict, cross_checked=True)
-        c0_verdict = None
-        dim = None
-        if polytope is not None:
-            c0_verdict = _start_verdict(verdict, polytope)
-            if c0_verdict.relevant:
-                dim = affine_dim(polytope.face_system(z.members), first=c0_verdict.face_point)
-        hits = None
-        if sample_polytopes is not None:
-            hits = tuple(
-                idx
-                for idx, sample in enumerate(sample_polytopes)
-                if _start_verdict(verdict, sample).relevant
-            )
-        return SiphonAnalysis(verdict, facet_verdict, c0_verdict, dim, hits)
+        return verdict, facet_verdict
 
     t2 = time.monotonic()
-    analyses = tuple(examine(z) for z in siphons)
+    checked = [examine(z) for z in siphons]
+    verdicts = [verdict for verdict, _ in checked]
+    c0_verdicts = dims = hits = [None] * len(siphons)
+    if polytope is not None:
+        c0_verdicts = [_start_verdict(v, polytope) for v in verdicts]
+
+        def face_dim(i: int) -> int | None:
+            v = c0_verdicts[i]
+            if not v.relevant:
+                return None
+            return affine_dim(polytope.face_system(v.siphon.members), first=v.face_point)
+
+        dims = per_orbit(polytope, face_dim)
+        for v, dim in zip(c0_verdicts, dims):
+            if v.relevant != (dim is not None):
+                raise AssertionError(
+                    f"internal error: the start's face of {v.siphon.names(net)} "
+                    "disagrees with its symmetry orbit"
+                )
+    if sample_polytopes is not None:
+        by_sample = [
+            per_orbit(p, lambda i, p=p: _start_verdict(verdicts[i], p).relevant)
+            for p in sample_polytopes
+        ]
+        hits = [tuple(k for k, row in enumerate(by_sample) if row[i]) for i in range(len(siphons))]
+    analyses = tuple(
+        SiphonAnalysis(verdict, facet_verdict, c0_verdict, dim, hit)
+        for (verdict, facet_verdict), c0_verdict, dim, hit in zip(checked, c0_verdicts, dims, hits)
+    )
     timings["relevance_ms"] = (time.monotonic() - t2) * 1000
 
     all_non_relevant = all(not a.verdict.relevant for a in analyses)
@@ -349,7 +433,7 @@ def analyze(
 
     orbits = None
     if symmetry is not None:
-        orbits = orbit_partition([a.verdict.siphon for a in analyses], symmetry)
+        orbits = orbits_under(tuple(range(len(automorphisms))))
 
     timings["total_ms"] = (time.monotonic() - t0) * 1000
     return AnalysisReport(

@@ -431,6 +431,18 @@ class TestAnalyzeCommand:
         assert code == EXIT_OK
         assert sorted(len(o) for o in doc["orbits"]) == [2, 4]
 
+    def test_symmetry_must_be_an_automorphism(self, tmp_path):
+        net = tmp_path / "chain.crn"
+        net.write_text("X -> Y\nY -> Z\n")
+        perm = tmp_path / "sym.txt"
+        perm.write_text("X Y Z\nZ Y X\n")
+        code, out, err = invoke(["analyze", "--symmetry", str(perm), str(net)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: symmetry permutation 2 is not an automorphism of the network: "
+            "it maps the reaction X -> Y to Z -> Y, which is not a reaction\n"
+        )
+
 
 class TestOdeAndInvariance:
     def test_ode_requires_all_rates(self, receptor_file, tmp_path):
@@ -460,6 +472,14 @@ class TestOdeAndInvariance:
         code, _, err = invoke(["invariance-check", "--siphon", "E", receptor_file])
         assert code == EXIT_USAGE
         assert "siphon" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_invariance_check_needs_a_trial(self, receptor_file, trials):
+        code, out, err = invoke(
+            ["invariance-check", "--siphon", "A,B,E", "--trials", trials, receptor_file]
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: trials must be at least 1, got {trials}\n"
 
     def test_invariance_counterexample_is_internal_error(self, receptor_file, monkeypatch):
         import crnsiphon.cli as cli_module

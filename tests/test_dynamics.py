@@ -149,6 +149,18 @@ class TestFaceChecks:
             z = Siphon.from_names(net, names)
             assert check_steady_face(net, z.members, trials=10, seed=7) is None
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_invariance_needs_a_trial(self, receptor_ligand, trials):
+        z = Siphon.from_names(receptor_ligand, ["A", "B", "E"])
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check_face_invariance(receptor_ligand, z.members, trials=trials)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_steady_face_needs_a_trial(self, receptor_ligand, trials):
+        z = Siphon.from_names(receptor_ligand, ["C", "D", "E"])
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check_steady_face(receptor_ligand, z.members, trials=trials)
+
     def test_steady_face_requires_strong_connectivity(self, futile_cycle):
         z = Siphon.from_names(futile_cycle, ["E", "X"])
         with pytest.raises(ValueError, match="strongly connected"):

@@ -318,6 +318,12 @@ class TestFaces:
         assert witness is not None
         assert p.matrix.matvec(witness) == p.rhs
 
+    def test_integer_start_is_scaled_once(self, receptor_ligand):
+        p = InvariantPolytope.from_network(receptor_ligand, OMEGA1)
+        # OMEGA1 is (1/10, 1/10, 1, 1/10, 1/10): one common scale of 10
+        assert p.integer_c0 == (1, 1, 10, 1, 1)
+        assert p.integer_c0 is p.integer_c0
+
     def test_chamber_one_face_results(self, receptor_ligand):
         net = receptor_ligand
         p = InvariantPolytope.from_network(net, OMEGA1)

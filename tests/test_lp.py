@@ -366,6 +366,30 @@ class TestRationalKernel:
         assert kinds == {True, False}
         assert paths == {(True, True), (True, False), (False, True), (False, False)}
 
+    def test_inert_rows_leave_the_tableau(self, monkeypatch):
+        # x2 is pinned, so the rows reading only x2 with rhs 0 are inert:
+        # the tableau keeps 2 live columns, 2 rows with their artificials
+        # and the rhs, and each inert row's multiplier is 1
+        widths = set()
+        real_update = lp_module._bareiss_update
+
+        def traced(row, prow, col, piv, det, support):
+            widths.add(len(row))
+            return real_update(row, prow, col, piv, det, support)
+
+        monkeypatch.setattr(lp_module, "_bareiss_update", traced)
+        inert = ([0, 0, 5], 0)
+        solvable = _simple(
+            3, [([1, 1, 0], 2), inert, ([1, -1, 0], 0), ([0, 0, -2], 0)], nonneg=[0, 1], zero=[2]
+        )
+        unsolvable = _simple(3, [([1, 1, 0], 2), inert, ([1, 1, 0], 3)], nonneg=[0, 1], zero=[2])
+        for system in (solvable, unsolvable):
+            res = _assert_verified(system)
+            assert (res.witness, res.certificate) == _reference_feasible(system)
+        assert feasible(solvable).witness == (1, 1, 0)
+        assert feasible(unsolvable).certificate[1] == 1
+        assert widths == {5}
+
     def test_same_answers_as_the_fraction_tableau_on_the_grid(self, grid5, monkeypatch):
         # every LP of one grid5 analysis: conservation laws, c0 faces,
         # sample faces and the affine_dim probes

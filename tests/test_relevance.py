@@ -417,3 +417,126 @@ class TestOrbits:
         identity = {i: i for i in range(receptor_ligand.num_species)}
         orbits = orbit_partition(siphons, [identity])
         assert sorted(len(o) for o in orbits) == [1, 1, 1]
+
+
+def _d4_invariant_start(net, perms, rng):
+    """A random start constant on every orbit of the grid's eight maps."""
+    c = [None] * net.num_species
+    for i in range(net.num_species):
+        if c[i] is None:
+            value = F(rng.randint(1, 9), rng.randint(1, 4))
+            for perm in perms:
+                c[perm[i]] = value
+    return c
+
+
+def _transpose_start(net, n, rng):
+    """A random start fixed by the transpose but by no rotation."""
+    idx = net.species.index
+    c = [None] * net.num_species
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            c[idx[f"c{i}{j}"]] = c[idx[f"c{j}{i}"]] = F(rng.randint(1, 9))
+    c[idx["c11"]] = F(11)  # breaks the anti-transpose and every rotation
+    return c
+
+
+def _paper_starts(n):
+    ones = [F(1)] * (n * n)
+    center = (n // 2) * n + n // 2
+    reduced, enlarged = list(ones), list(ones)
+    reduced[center], enlarged[center] = F(1, 2), F(3, 2)
+    return ones, reduced, enlarged
+
+
+class TestSymmetricStarts:
+    """``analyze(symmetry=...)`` decides each orbit once per start that the
+    automorphisms fix; the report must equal the one without symmetry."""
+
+    @staticmethod
+    def _assert_same_report(net, c0, samples, perms):
+        plain = analyze(net, c0=c0, omega_samples=samples)
+        symmetric = analyze(net, c0=c0, omega_samples=samples, symmetry=perms)
+        assert plain.orbits is None and symmetric.orbits is not None
+        assert replace(symmetric, orbits=None) == plain
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_same_report_with_and_without_symmetry(self, n):
+        net = grid_minors_network(n)
+        perms = grid_symmetries(net, n)
+        rng = random.Random(100 + n)
+        ones, reduced, enlarged = _paper_starts(n)
+        invariant = [_d4_invariant_start(net, perms, rng) for _ in range(2)]
+        partial = _transpose_start(net, n, rng)
+        self._assert_same_report(net, ones, [reduced, enlarged], perms)
+        self._assert_same_report(net, invariant[0], [invariant[1], partial, reduced], perms)
+        self._assert_same_report(net, partial, [ones, partial], perms)
+
+    def test_start_fixed_by_the_transpose_only(self, grid5):
+        # at this start the members of some orbit under all eight maps have
+        # different faces, so copying along a map that moves the start
+        # would change the report
+        perms = grid_symmetries(grid5, 5)
+        c0 = _transpose_start(grid5, 5, random.Random(0))
+        ones, reduced, _ = _paper_starts(5)
+        plain = analyze(grid5, c0=c0, symmetry=perms)
+        faces = [(a.c0_verdict.relevant, a.face_dim) for a in plain.siphons]
+        assert any(len({faces[i] for i in orbit}) > 1 for orbit in plain.orbits)
+        self._assert_same_report(grid5, c0, [ones, c0, reduced], perms)
+
+    def test_grid6_same_report(self):
+        # the grid has no centre cell: the changed c44 is fixed only by the
+        # transpose, so the samples keep two of the eight maps
+        net = grid_minors_network(6)
+        ones, reduced, enlarged = _paper_starts(6)
+        self._assert_same_report(net, ones, [reduced, enlarged], grid_symmetries(net, 6))
+
+    @staticmethod
+    def _count_lps(monkeypatch, net, **kwargs):
+        import crnsiphon.geometry as geometry_module
+        import crnsiphon.lp as lp_module
+        import crnsiphon.relevance as relevance_module
+
+        real = lp_module.feasible
+        calls = []
+
+        def counted(system):
+            calls.append(system)
+            return real(system)
+
+        for module in (lp_module, geometry_module, relevance_module):
+            monkeypatch.setattr(module, "feasible", counted)
+        analyze(net, **kwargs)
+        return len(calls)
+
+    def test_grid5_lp_count(self, grid5, monkeypatch):
+        ones, reduced, enlarged = _paper_starts(5)
+        starts = {"c0": ones, "omega_samples": [reduced, enlarged]}
+        perms = grid_symmetries(grid5, 5)
+        # 28 conservation LPs, 18 c0 face LPs, then per orbit (sizes 2, 8
+        # and 8, all relevant siphons) the face-dimension probes and the
+        # two sample LPs
+        assert self._count_lps(monkeypatch, grid5, **starts) == 132
+        assert self._count_lps(monkeypatch, grid5, symmetry=perms, **starts) <= 60
+
+    def test_only_the_maps_fixing_the_start_save_lps(self, grid5, monkeypatch):
+        rng = random.Random(7)
+        perms = grid_symmetries(grid5, 5)
+        generic = [F(rng.randint(1, 50)) for _ in range(25)]
+        transposed = _transpose_start(grid5, 5, rng)
+        for c0, saves in ((generic, False), (transposed, True)):
+            plain = self._count_lps(monkeypatch, grid5, c0=c0)
+            symmetric = self._count_lps(monkeypatch, grid5, c0=c0, symmetry=perms)
+            assert (symmetric < plain) == saves and symmetric <= plain
+
+    def test_non_automorphism_is_rejected(self, receptor_ligand):
+        net = receptor_ligand
+        identity = {i: i for i in range(net.num_species)}
+        swap = dict(identity)
+        swap[0], swap[1] = 1, 0  # A <-> B
+        with pytest.raises(ValueError, match="permutation 2 is not an automorphism"):
+            analyze(net, symmetry=[identity, swap])
+        with pytest.raises(ValueError, match="permutation 1 is not a permutation"):
+            analyze(net, symmetry=[{i: 0 for i in range(net.num_species)}])
+        # orbit_partition itself stays tolerant
+        assert orbit_partition(minimal_siphons(net), [swap])
