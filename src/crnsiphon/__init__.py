@@ -60,6 +60,7 @@ from crnsiphon.geometry import (
     build_cone,
     chamber_signature,
     cone_facets,
+    conservation_cone,
     face_dimension,
     face_nonempty,
     vertex_supports,
@@ -123,6 +124,7 @@ __all__ = [
     "cone_facets",
     "connectivity",
     "conservation_basis",
+    "conservation_cone",
     "eval_rhs",
     "export_cas_script",
     "face_dimension",

@@ -22,8 +22,7 @@ decomposition down to the relevant siphons.
 
 from __future__ import annotations
 
-from crnsiphon.geometry import build_cone
-from crnsiphon.linalg import conservation_basis
+from crnsiphon.geometry import conservation_cone
 from crnsiphon.network import Complex, ReactionNetwork, connectivity
 
 __all__ = ["export_cas_script", "FLAVORS"]
@@ -108,7 +107,7 @@ def export_cas_script(
         target = "reactionIdeal + ideal product gens theRing"
 
     if include_boundary:
-        cone = build_cone(conservation_basis(net))
+        cone = conservation_cone(net)
         if cone.pointed and cone.facets:
             pieces = []
             for facet in cone.facets:

@@ -18,8 +18,9 @@ Exit codes: 0 success, 1 usage, 2 parse error, 3 budget exceeded,
 
 Environment: ``SIPHON_BUDGET_MS`` default time budget for enumerations.
 
-Exact values only: rationals are written like ``3`` or ``1/10``; decimal
-points are rejected.
+Exact values only: rationals are written like ``3``, ``-2`` or ``1/10``
+(ASCII digits, an optional sign, at most 4300 digits above and below the
+bar); decimal points, exponents and every other spelling are rejected.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -35,8 +37,7 @@ from typing import Iterator, Sequence
 from crnsiphon import __version__
 from crnsiphon.casexport import FLAVORS, export_cas_script
 from crnsiphon.dynamics import MassActionSystem, build_rhs, check_face_invariance
-from crnsiphon.geometry import InvariantPolytope, NotPointedError, build_cone, face_dimension
-from crnsiphon.linalg import conservation_basis
+from crnsiphon.geometry import InvariantPolytope, NotPointedError, conservation_cone, face_dimension
 from crnsiphon.network import ParseError, ReactionNetwork, canonical_text, parse_network
 from crnsiphon.relevance import (
     AnalysisReport,
@@ -64,13 +65,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+_MAX_DIGITS = 4300  # CPython's default limit on int() of a string
+
+
 def _parse_fraction(text: str) -> Fraction:
+    """``[+-]digits[/digits]`` between blanks, with the value ``Fraction``
+    gives it; anything else is a usage error.  The digits are counted
+    before ``int()`` sees them."""
     text = text.strip()
     if "." in text:
         raise UsageError(f"decimal values are not accepted, write a fraction: {text!r}")
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise UsageError(f"bad rational {text!r}: Invalid literal for Fraction: {text!r}")
+    sign, num, den = m.groups()
+    if len(num) > _MAX_DIGITS or len(den or "") > _MAX_DIGITS:
+        raise UsageError(f"bad rational {text!r}: more than {_MAX_DIGITS} digits")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(sign + num), int(den or 1))
+    except ZeroDivisionError as exc:
         raise UsageError(f"bad rational {text!r}: {exc}") from None
 
 
@@ -492,7 +506,7 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
             return _cmd_siphons(net, args, out)
 
         if args.command == "facets":
-            cone = build_cone(conservation_basis(net))
+            cone = conservation_cone(net)
             if not cone.pointed:
                 raise NotPointedError("cone is not pointed; it has no facet description here")
             for f in cone.facets or ():

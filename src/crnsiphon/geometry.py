@@ -13,7 +13,10 @@ cone and about the polytopes ``{x >= 0 : A x = A c0}``:
 
 Facets and vertices come from one exact double-description routine,
 :func:`_extreme_rays`, which lists the extreme rays of a cone
-``{z >= 0 : E z = 0}`` as primitive integer vectors.  The facets are the
+``{z >= 0 : E z = 0}`` as primitive integer vectors.  The conservation
+basis, the rays, the facet normals and the polytope rows are all Python
+ints; Fractions appear only in a rational start ``c0``, in the right-hand
+side it gives and in the LP's face points.  The facets are the
 extreme non-negative conservation laws (the dual cone's extreme rays, the
 law's zero set naming the generators on the facet); the vertices are the
 extreme rays with ``t > 0`` of ``{(x, t) >= 0 : A x = t A c0}``.
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from crnsiphon.linalg import (
@@ -51,6 +54,7 @@ __all__ = [
     "InvariantPolytope",
     "NotPointedError",
     "build_cone",
+    "conservation_cone",
     "cone_facets",
     "vertex_supports",
     "face_nonempty",
@@ -71,7 +75,7 @@ class Facet:
     """A facet as its generator incidence set plus an exact inner normal."""
 
     members: tuple[int, ...]  # generator indices lying on the facet
-    normal: Vec  # integer vector v with <v, a_i> = 0 on members, > 0 off
+    normal: tuple[int, ...]  # primitive v with <v, a_i> = 0 on members, > 0 off
 
     def complement(self, num_generators: int) -> tuple[int, ...]:
         inside = set(self.members)
@@ -130,7 +134,7 @@ def _extreme_rays(e: RationalMatrix) -> list[tuple[int, ...]]:
     bitmasks over the coordinates.
     """
     red = row_reduce(e)
-    rays = [tuple(int(x) for x in v) for v in kernel_vectors(red, fix_sign=False)]
+    rays = kernel_vectors(red, fix_sign=False)
     k = len(rays)
     zeros = [_zero_mask(r) for r in rays]
     added = sum(1 << c for c in range(e.cols) if c not in red.pivot_cols)
@@ -186,16 +190,22 @@ def build_cone(basis: SubspaceBasis) -> ConeQ:
     # A^T has full column rank, so the first d rows of the RREF of
     # [A^T | laws] hold the normals, one column per law
     red = row_reduce(
-        RationalMatrix.from_rows(
-            [list(a.column(i)) + [z[i] for z in laws] for i in range(s)], cols=d + len(laws)
+        RationalMatrix(
+            tuple(a.column(i) + tuple(z[i] for z in laws) for i in range(s)), d + len(laws)
         )
     )
     facets = []
     for j, z in enumerate(laws):
-        normal = [red.rref.entries[r][d + j] for r in range(d)]
+        normal, _ = red.scaled_column(d + j)
         members = tuple(i for i, x in enumerate(z) if not x)
         facets.append(Facet(members, normalize_integer_vector(normal, fix_sign=False)))
     return ConeQ(a, pointed=True, facets=tuple(sorted(facets, key=lambda f: f.members)))
+
+
+def conservation_cone(net: ReactionNetwork) -> ConeQ:
+    """:func:`build_cone` of the network's conservation basis, computed
+    once per network."""
+    return net._conservation_cone
 
 
 def cone_facets(cone: ConeQ) -> tuple[Facet, ...]:
@@ -212,7 +222,8 @@ class InvariantPolytope:
     """The polytope ``{x >= 0 : A x = A c0}`` for a positive start c0.
 
     ``c0`` may be given as any sequence of rationals; it is stored as a
-    tuple of Fractions."""
+    tuple of Fractions.  Everything derived from it is read off
+    :attr:`integer_c0`, so an integer ``A`` gives integer rows."""
 
     matrix: RationalMatrix
     c0: Vec
@@ -234,8 +245,14 @@ class InvariantPolytope:
         return self.matrix.cols
 
     @cached_property
-    def rhs(self) -> Vec:
-        return self.matrix.matvec(self.c0)
+    def scaled_rhs(self) -> tuple:
+        """``A c0`` times the common denominator of ``c0``."""
+        return self.matrix.matvec(self.integer_c0)
+
+    @cached_property
+    def rhs(self) -> tuple:
+        d = lcm(*(x.denominator for x in self.c0))
+        return self.scaled_rhs if d == 1 else tuple(Fraction(b, d) for b in self.scaled_rhs)
 
     @cached_property
     def vertex_supports(self) -> tuple[tuple[int, ...], ...]:
@@ -274,8 +291,10 @@ def vertex_supports(p: InvariantPolytope) -> tuple[tuple[int, ...], ...]:
     directions in which the polytope is unbounded.
     """
     a, s = p.matrix, p.num_species
+    # t scaled by the common denominator of c0: the same rays, up to the
+    # size of their last entry
     homogenized = RationalMatrix(
-        tuple(row + (-b,) for row, b in zip(a.entries, p.rhs)), s + 1
+        tuple(row + (-b,) for row, b in zip(a.entries, p.scaled_rhs)), s + 1
     )
     supports = {
         tuple(i for i in range(s) if ray[i]) for ray in _extreme_rays(homogenized) if ray[s]

@@ -1,21 +1,24 @@
-"""Exact rational linear algebra for conservation-law computations.
+"""Exact linear algebra for conservation-law computations.
 
-Inputs and outputs are :class:`fractions.Fraction`; nothing here ever
-rounds.  Inside, every row is scaled once to integers by
-:func:`integer_row`, and the elimination loops run on Python ints only:
+A matrix holds Python ints or Fractions, and nothing here ever rounds.  The
+data of a network are integer, and so is everything this module derives
+from them: the elimination loops run on Python ints only, each row scaled
+once to integers by :func:`integer_row` (a row of ints is taken as it is).
 :func:`rank` is a fraction-free (Bareiss) forward pass, and
-:func:`row_reduce` follows that pass with an integer back-substitution
-that clears each pivot column by cross-multiplication and divides every
-updated row by its content.  Fractions are built once, when the reduced
-row echelon form is returned.  Output bases are integer vectors with
-content 1 and a positive leading entry, so they are directly comparable
-across runs.
+:func:`row_reduce` follows that pass with an integer back-substitution that
+clears each pivot column by cross-multiplication and divides every updated
+row by its content.  Kernel vectors and solutions are read off those
+integer pivot rows as primitive integer vectors, with content 1 (and, for
+bases, a positive leading entry), so they are directly comparable across
+runs.  The reduced row echelon form, the one matrix of Fractions, is built
+only when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence, TYPE_CHECKING
 
@@ -36,24 +39,21 @@ __all__ = [
     "dot",
 ]
 
-Vec = tuple[Fraction, ...]
+IntVec = tuple[int, ...]
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError("dimension mismatch in dot product")
-    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+    return sum(a * b for a, b in zip(u, v) if a and b)
 
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense matrix of Fractions; `cols` is explicit so 0-row shapes work."""
+    """Dense matrix of ints and Fractions; `cols` is explicit so 0-row
+    shapes work."""
 
-    entries: tuple[Vec, ...]
+    entries: tuple[tuple, ...]
     cols: int
 
     def __post_init__(self):
@@ -63,7 +63,12 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence], cols: int | None = None) -> "RationalMatrix":
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
+        """Rows as given; an entry that is neither an int nor a Fraction
+        goes through ``Fraction``."""
+        data = tuple(
+            tuple(x if type(x) is int or isinstance(x, Fraction) else Fraction(x) for x in row)
+            for row in rows
+        )
         if cols is None:
             if not data:
                 raise ValueError("cols is required for a matrix with no rows")
@@ -74,30 +79,53 @@ class RationalMatrix:
     def rows(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vec:
+    def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
-
-    def transpose(self) -> "RationalMatrix":
-        data = tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-        return RationalMatrix(data, self.rows)
 
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         if other.cols != self.cols:
             raise ValueError("column count mismatch in stack")
         return RationalMatrix(self.entries + other.entries, self.cols)
 
-    def matvec(self, v: Sequence[Fraction]) -> Vec:
+    def matvec(self, v: Sequence) -> tuple:
         return tuple(dot(row, v) for row in self.entries)
 
 
 @dataclass(frozen=True)
 class RowReduction:
-    rank: int
-    rref: RationalMatrix
+    """The pivot columns of a matrix and its back-substituted integer pivot
+    rows: ``pivot_rows[i]`` has content 1 and is zero at every pivot column
+    but ``pivot_cols[i]``, so it is row i of the RREF times its pivot."""
+
     pivot_cols: tuple[int, ...]
+    pivot_rows: tuple[IntVec, ...]
+    shape: tuple[int, int]  # (rows, cols) of the reduced matrix
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_cols)
+
+    @cached_property
+    def rref(self) -> RationalMatrix:
+        """The reduced row echelon form, zero rows included, as Fractions;
+        built when first read."""
+        nrows, ncols = self.shape
+        zero = Fraction(0)
+        out = [
+            tuple(Fraction(x, row[c]) if x else zero for x in row)
+            for row, c in zip(self.pivot_rows, self.pivot_cols)
+        ]
+        out += [(zero,) * ncols] * (nrows - self.rank)
+        return RationalMatrix(tuple(out), ncols)
+
+    def scaled_column(self, f: int) -> tuple[IntVec, int]:
+        """Column f of the RREF at the pivot rows as ``(x, scale)``, with
+        ``x[i] / scale`` its entry i: ``scale`` is the lcm of the pivots of
+        the rows that are non-zero at f (1 when none is), and ``x[i]`` is
+        ``pivot_rows[i][f]`` times ``scale`` over that row's pivot."""
+        used = [(row[f], row[c]) for row, c in zip(self.pivot_rows, self.pivot_cols)]
+        scale = lcm(*(piv for x, piv in used if x))
+        return tuple(x * (scale // piv) if x else 0 for x, piv in used), scale
 
 
 def integer_row(row: Sequence) -> tuple[list[int], int]:
@@ -157,14 +185,15 @@ def rank(m: RationalMatrix) -> int:
 
 
 def row_reduce(m: RationalMatrix) -> RowReduction:
-    """Rank, RREF, and pivot columns (pivot order fixed by column order).
+    """Pivot columns (in column order) and integer pivot rows of ``m``.
 
     The forward pass is the one of :func:`rank`.  The back-substitution
     stays on integers: the pivot rows are divided by their content, then,
     from the last pivot up, each row above is updated to
     ``row * piv - f * prow`` (``f`` its entry in the pivot column) and
-    divided by its content.  Each row of the RREF is then its integer row
-    over its pivot entry, one Fraction per entry.
+    divided by its content.  Each row of the RREF is its integer row over
+    its pivot entry; :attr:`RowReduction.rref` builds those Fractions only
+    when it is read.
     """
     rows = [integer_row(r)[0] for r in m.entries]
     ncols = m.cols
@@ -183,61 +212,47 @@ def row_reduce(m: RationalMatrix) -> RowReduction:
                 row = [x * piv - f * p for x, p in zip(rows[i], prow)]
                 g = gcd(*row)
                 rows[i] = [x // g for x in row] if g > 1 else row
-    zero = Fraction(0)
-    out = []
-    for i, row in enumerate(rows):
-        if i < len(pivots):
-            piv = row[pivots[i][1]]
-            out.append(tuple(Fraction(x, piv) if x else zero for x in row))
-        else:
-            out.append((zero,) * ncols)
     return RowReduction(
-        rank=len(pivots),
-        rref=RationalMatrix(tuple(out), ncols),
         pivot_cols=tuple(c for _, c in pivots),
+        pivot_rows=tuple(tuple(rows[r]) for r, _ in pivots),
+        shape=(m.rows, ncols),
     )
 
 
-def normalize_integer_vector(v: Sequence[Fraction], fix_sign: bool = True) -> Vec:
+def normalize_integer_vector(v: Sequence, fix_sign: bool = True) -> IntVec:
     """Scale to integer entries with content 1; by default also flip the
     sign so the first nonzero entry is positive (skip that for vectors
     whose orientation is meaningful, e.g. facet normals)."""
     ints, _ = integer_row(v)
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
-    if fix_sign:
-        for x in ints:
-            if x != 0:
-                if x < 0:
-                    ints = [-y for y in ints]
-                break
-    return tuple(Fraction(x) for x in ints)
+    if fix_sign and next((x for x in ints if x), 0) < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
 
 
-def kernel_vectors(red: RowReduction, fix_sign: bool = True) -> list[Vec]:
-    """One kernel vector of the reduced matrix per free column f of its
-    RREF, in column order: 1 at f, minus column f of the RREF at the pivot
-    columns, 0 elsewhere, scaled by :func:`normalize_integer_vector`
-    (``fix_sign`` as there; without it the entry at f stays positive)."""
-    cols = red.rref.cols
-    zero, one = Fraction(0), Fraction(1)
+def kernel_vectors(red: RowReduction, fix_sign: bool = True) -> list[IntVec]:
+    """One primitive integer kernel vector of the reduced matrix per free
+    column f, in column order.  With ``(x, scale)`` the
+    :meth:`RowReduction.scaled_column` of f, the vector is ``scale`` at f,
+    ``-x[i]`` at pivot column i and 0 elsewhere (the RREF's kernel vector
+    with 1 at f, times ``scale``), divided by its content.  ``fix_sign`` as
+    in :func:`normalize_integer_vector`; without it the entry at f stays
+    positive."""
     vectors = []
-    for f in range(cols):
-        if f in red.pivot_cols:
-            continue
-        vec = [zero] * cols
-        vec[f] = one
-        for i, pc in enumerate(red.pivot_cols):
-            vec[pc] = -red.rref.entries[i][f]
+    for f in sorted(set(range(red.shape[1])) - set(red.pivot_cols)):
+        x, scale = red.scaled_column(f)
+        vec = [0] * red.shape[1]
+        vec[f] = scale
+        for pc, xi in zip(red.pivot_cols, x):
+            vec[pc] = -xi
         vectors.append(normalize_integer_vector(vec, fix_sign))
     return vectors
 
 
 def nullspace_basis(m: RationalMatrix) -> RationalMatrix:
-    """Integer-normalized row basis of ``{v : m v = 0}``."""
+    """Primitive integer row basis of ``{v : m v = 0}``."""
     return RationalMatrix(tuple(kernel_vectors(row_reduce(m))), m.cols)
 
 
@@ -255,10 +270,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.matrix.rows
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.cols
-
 
 def conservation_basis(net: "ReactionNetwork") -> SubspaceBasis:
     """Integer basis of the conservation space (orthogonal complement of the
@@ -266,7 +277,7 @@ def conservation_basis(net: "ReactionNetwork") -> SubspaceBasis:
     return net._conservation_basis
 
 
-def in_row_space(basis: SubspaceBasis | RationalMatrix, v: Sequence[Fraction]) -> bool:
+def in_row_space(basis: SubspaceBasis | RationalMatrix, v: Sequence) -> bool:
     """True iff ``v`` is a rational combination of the basis rows."""
     m = basis.matrix if isinstance(basis, SubspaceBasis) else basis
     if len(v) != m.cols:

@@ -1,11 +1,13 @@
 """Exact rational linear-program feasibility with verified outcomes.
 
 The only solver exposed is phase-one simplex with Bland's anti-cycling
-rule, so every run terminates and every answer is exact.  It pivots on an
-integer tableau: each row ``[a | b]`` of a system is scaled to integers
-once, when the system is made (``LinearSystem.integer_rows``; systems
-that share rows, such as the faces of one invariant polytope, share the
-scaled rows too), and Edmonds/Bareiss pivots ``(x*piv - f*p) // det``
+rule, so every run terminates and every answer is exact.  A system's rows
+hold ints or Fractions (the conservation-law LPs and the faces of an
+integer start are all ints).  It pivots on an integer tableau: each row
+``[a | b]`` of a system is scaled to integers once, when the system is
+made (``LinearSystem.integer_rows``; systems that share rows, such as the
+faces of one invariant polytope, share the scaled rows too), and
+Edmonds/Bareiss pivots ``(x*piv - f*p) // det``
 keep every entry an integer, the division always exact, so no Fraction
 is built inside the loop.  A unit pivot, one whose entry equals the
 current determinant (most pivots on integer data such as the grid's),
@@ -23,11 +25,12 @@ changes no pivot, and its certificate multiplier is 1.  A feasible
 system returns a basic feasible point; an infeasible one returns a Farkas
 certificate: multipliers that combine the equality rows into a linear
 form which is zero on free variables, non-positive on the variables
-constrained to be non-negative, yet has a positive right-hand side.  Both
-kinds of answer are mapped back to Fractions and re-verified before being
-returned, by :func:`verify_witness` and :func:`verify_certificate`: they
-test every row of the system in integers, scaling the answer themselves,
-and share no code with the pivots.
+constrained to be non-negative, yet has a positive right-hand side.  These
+answers are where the Fractions are: both kinds are mapped back to
+Fractions and re-verified before being returned, by
+:func:`verify_witness` and :func:`verify_certificate`: they test every
+row of the system in integers, scaling the answer themselves, and share
+no code with the pivots.
 
 Systems are stated as ``A x = b`` plus per-variable domains: each variable
 is free, constrained ``>= 0``, or pinned to ``0`` (pinning dominates).  An
@@ -63,6 +66,7 @@ __all__ = [
 ]
 
 Vec = tuple[Fraction, ...]
+Row = tuple[int | Fraction, ...]
 IntRow = tuple[tuple[int, ...], int]  # (row * scale, scale), see integer_row
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -80,11 +84,11 @@ class LinearSystem:
     """
 
     num_vars: int
-    eq_coeffs: tuple[Vec, ...]
-    eq_rhs: Vec
+    eq_coeffs: tuple[Row, ...]
+    eq_rhs: Row
     nonneg: frozenset[int]
     zero: frozenset[int]
-    normalization: Vec | None = None  # extra row: normalization . x == 1
+    normalization: Row | None = None  # extra row: normalization . x == 1
     scaled_rows: InitVar[tuple[IntRow, ...] | None] = None
     integer_rows: tuple[IntRow, ...] = field(init=False, compare=False, repr=False)
 
@@ -123,13 +127,13 @@ class LinearSystem:
             norm = RationalMatrix.from_rows([normalization], cols=num_vars).entries[0]
         return cls(num_vars, coeffs, rhs, frozenset(nonneg), frozenset(zero), norm)
 
-    def all_rows(self) -> tuple[tuple[Vec, ...], Vec]:
+    def all_rows(self) -> tuple[tuple[Row, ...], Row]:
         """Equality rows with the normalization row (rhs 1) folded in last."""
         coeffs = self.eq_coeffs
         rhs = self.eq_rhs
         if self.normalization is not None:
             coeffs = coeffs + (self.normalization,)
-            rhs = rhs + (Fraction(1),)
+            rhs = rhs + (1,)
         return coeffs, rhs
 
 
@@ -351,15 +355,14 @@ def _homogenized_probe(system: LinearSystem, support: Sequence[int]) -> LinearSy
     is the system's with the same scale."""
     coeffs, rhs = system.all_rows()
     n = system.num_vars
-    zero, one = Fraction(0), Fraction(1)
     inside = set(support)
-    norm = tuple(one if j in inside else zero for j in range(n + 1))
+    norm = tuple(1 if j in inside else 0 for j in range(n + 1))
     scaled = tuple((ints[:-1] + (-ints[-1], 0), s) for ints, s in system.integer_rows)
-    scaled += ((tuple(1 if j in inside else 0 for j in range(n + 1)) + (1,), 1),)
+    scaled += ((norm + (1,), 1),)
     return LinearSystem(
         n + 1,
         tuple(row + (-b,) for row, b in zip(coeffs, rhs)),
-        (zero,) * len(coeffs),
+        (0,) * len(coeffs),
         system.nonneg | {n},
         system.zero,
         norm,

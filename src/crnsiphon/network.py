@@ -30,11 +30,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress
+from typing import TYPE_CHECKING
 
 from crnsiphon.linalg import RationalMatrix, SubspaceBasis, nullspace_basis
+
+if TYPE_CHECKING:
+    from crnsiphon.geometry import ConeQ
 
 __all__ = [
     "ParseError",
@@ -185,19 +188,21 @@ class ReactionNetwork:
 
     @cached_property
     def _conservation_basis(self) -> SubspaceBasis:
-        m = RationalMatrix.from_rows(self.integer_net_changes, cols=self.num_species)
-        return SubspaceBasis(nullspace_basis(m))
+        return SubspaceBasis(
+            nullspace_basis(RationalMatrix(self.integer_net_changes, self.num_species))
+        )
+
+    @cached_property
+    def _conservation_cone(self) -> ConeQ:
+        from crnsiphon.geometry import build_cone  # geometry imports this module
+
+        return build_cone(self._conservation_basis)
 
     @cached_property
     def integer_net_changes(self) -> tuple[tuple[int, ...], ...]:
-        """Distinct net change vectors in order of first reaction."""
+        """Distinct net change vectors in order of first reaction (the
+        equality rows of every conservation-law LP)."""
         return tuple(dict.fromkeys(stoichiometric_generators(self)))
-
-    @cached_property
-    def distinct_net_changes(self) -> tuple[tuple[Fraction, ...], ...]:
-        """:attr:`integer_net_changes` as exact rationals (the equality rows
-        of every conservation-law LP)."""
-        return tuple(tuple(Fraction(x) for x in v) for v in self.integer_net_changes)
 
     def reaction_text(self, reaction_index: int) -> str:
         r = self.reactions[reaction_index]

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from crnsiphon.geometry import ConeQ, Facet, InvariantPolytope, build_cone, cone_facets
+from crnsiphon.geometry import ConeQ, Facet, InvariantPolytope, cone_facets, conservation_cone
 from crnsiphon.linalg import (
     SubspaceBasis,
     conservation_basis,
@@ -80,7 +80,7 @@ class RelevanceVerdict:
     siphon: Siphon
     relevant: bool
     route: str  # "conservation_lp" | "facet" | "face_lp"
-    conservation_law: Vec | None = None  # non-relevant, conservation_lp route
+    conservation_law: tuple[int, ...] | None = None  # non-relevant, conservation_lp route
     certificate: Vec | None = None  # relevant, conservation_lp route
     facet: Facet | None = None  # non-relevant, facet route
     face_point: Vec | None = None  # relevant, face_lp route
@@ -95,17 +95,16 @@ def supported_conservation_system(net: ReactionNetwork, members: Iterable[int]) 
     (by 1) and are not integerized again for every siphon."""
     z = frozenset(members)
     s = net.num_species
-    zero, one = Fraction(0), Fraction(1)
-    rows = net.distinct_net_changes
-    scaled = tuple((v + (0,), 1) for v in net.integer_net_changes)
-    scaled += ((tuple(1 if i in z else 0 for i in range(s)) + (1,), 1),)
+    rows = net.integer_net_changes
+    normalization = tuple(1 if i in z else 0 for i in range(s))
+    scaled = tuple((v + (0,), 1) for v in rows) + ((normalization + (1,), 1),)
     return LinearSystem(
         s,
         rows,
-        (zero,) * len(rows),
+        (0,) * len(rows),
         nonneg=z,
         zero=frozenset(range(s)) - z,
-        normalization=tuple(one if i in z else zero for i in range(s)),
+        normalization=normalization,
         scaled_rows=scaled,
     )
 
@@ -132,7 +131,7 @@ def is_relevant_by_facets(
     """Global relevance via cone facets: non-relevant exactly when some
     facet complement is contained in the siphon.  Pointed cones only."""
     if cone is None:
-        cone = build_cone(conservation_basis(net))
+        cone = conservation_cone(net)
     members = set(siphon.members)
     for facet in cone_facets(cone):
         if set(facet.complement(cone.num_generators)) <= members:
@@ -155,7 +154,7 @@ def _start_verdict(verdict: RelevanceVerdict, polytope: InvariantPolytope) -> Re
     law = verdict.conservation_law
     if law is not None:
         c0 = polytope.integer_c0
-        if sum(w.numerator * x for w, x in zip(law, c0) if w) <= 0:
+        if sum(w * x for w, x in zip(law, c0) if w) <= 0:
             raise AssertionError("internal error: conservation law vanishes at the start")
         return RelevanceVerdict(z, False, "conservation_lp", conservation_law=law)
     result = feasible(polytope.face_system(z.members))
@@ -321,7 +320,7 @@ def analyze(
     conn = connectivity(net)
     basis = conservation_basis(net)
 
-    cone = build_cone(basis)
+    cone = conservation_cone(net)
     timings["setup_ms"] = (time.monotonic() - t0) * 1000
 
     t1 = time.monotonic()

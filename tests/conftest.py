@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import random
 import sys
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
+from crnsiphon.linalg import RowReduction, integer_row
 from crnsiphon.network import (
     Complex,
     Reaction,
@@ -132,6 +135,42 @@ def random_network(
         from crnsiphon.network import canonical_text
 
         return parse_network(canonical_text(net))
+
+
+# The Fraction route the integer kernel replaced, kept as a reference: the
+# RREF's Fractions, one kernel vector per free column with 1 at that column,
+# scaled to integers afterwards.
+
+
+def reference_normalize_integer_vector(v, fix_sign: bool = True) -> tuple[Fraction, ...]:
+    ints, _ = integer_row(v)
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g > 1:
+        ints = [x // g for x in ints]
+    if fix_sign:
+        for x in ints:
+            if x != 0:
+                if x < 0:
+                    ints = [-y for y in ints]
+                break
+    return tuple(Fraction(x) for x in ints)
+
+
+def reference_kernel_vectors(red: RowReduction, fix_sign: bool = True) -> list:
+    cols = red.rref.cols
+    zero, one = Fraction(0), Fraction(1)
+    vectors = []
+    for f in range(cols):
+        if f in red.pivot_cols:
+            continue
+        vec = [zero] * cols
+        vec[f] = one
+        for i, pc in enumerate(red.pivot_cols):
+            vec[pc] = -red.rref.entries[i][f]
+        vectors.append(reference_normalize_integer_vector(vec, fix_sign))
+    return vectors
 
 
 @pytest.fixture(scope="session")

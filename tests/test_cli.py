@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DEEP_CHAIN,
@@ -13,6 +17,7 @@ from conftest import (
     ENZYME_INHIBITOR,
     FUTILE_CYCLE,
     RECEPTOR_LIGAND,
+    TWO_SPECIES,
 )
 from crnsiphon import __version__
 from crnsiphon.cli import (
@@ -185,6 +190,12 @@ class TestErrors:
         assert code == EXIT_USAGE
         assert "decimal" in err
 
+    @pytest.mark.parametrize("value", ["1e3", "1e-1", "1E5000", "1_000", "1" * 4301])
+    def test_exponent_and_over_long_starts_rejected(self, receptor_file, value):
+        code, out, err = invoke(["vertices", "--c0", f"{value},1,1,1,1", receptor_file])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: bad rational {value!r}")
+
     def test_wrong_c0_length(self, receptor_file):
         code, _, err = invoke(["vertices", "--c0", "1,1", receptor_file])
         assert code == EXIT_USAGE
@@ -193,6 +204,70 @@ class TestErrors:
     def test_unknown_subcommand(self, receptor_file):
         code, _, _ = invoke(["frobnicate", receptor_file])
         assert code == EXIT_USAGE
+
+
+_GRAMMAR = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _grammar_value(text: str) -> Fraction | None:
+    """The value of ``[+-]digits[/digits]`` between blanks (at most 4300
+    digits above and below the bar), as ``Fraction`` reads it; None for
+    any other text and for a zero denominator."""
+    m = _GRAMMAR.fullmatch(text.strip())
+    if m is None or len(m[2]) > 4300 or len(m[3] or "") > 4300 or m[3] and not int(m[3]):
+        return None
+    return Fraction(text.strip())
+
+
+# no ',', '=', '#' or line break: each reader splits its input on one of them
+_SPELLINGS = st.one_of(
+    st.from_regex(r"[ \t]*[+-]?[0-9]{1,8}(/[0-9]{1,4})?[ \t]*", fullmatch=True),
+    st.text(alphabet="0123456789+-/ eE._\t\u0661\u00a0", max_size=10),
+    st.builds(lambda d: d * 4301, st.sampled_from("19")),
+)
+
+
+@pytest.fixture(scope="module")
+def readers_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("readers")
+    (path / "net.crn").write_text(TWO_SPECIES)
+    return path
+
+
+class TestRationalReaders:
+    """``--c0``, ``--assign``, ``--omega`` and ``--kappa`` read exactly
+    ``[+-]digits[/digits]``: every other text, exponents and over-long
+    digit strings included, is a usage error, and no text raises."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_SPELLINGS)
+    @example("1e3")
+    @example("1e-1")
+    @example(" 1E9999999 ")
+    @example("-0/0")
+    @example(" +12/8\t")
+    def test_each_reader_accepts_the_grammar_only(self, readers_dir, text):
+        net = str(readers_dir / "net.crn")
+        value = _grammar_value(text)
+        accepted = value is not None and value > 0
+        omega, kappa = readers_dir / "samples.txt", readers_dir / "rates.txt"
+        omega.write_text(f"{text},1\n", encoding="utf-8")
+        kappa.write_text(f"0 {text}\n1 1\n", encoding="utf-8")
+        for argv, read in (
+            (["analyze", f"--c0={text},1", net], lambda report: report["c0"][0]),
+            (["analyze", f"--assign=X={text},Y=1", net], lambda report: report["c0"][0]),
+            (["analyze", "--omega", str(omega), net], lambda r: r["omega_samples"][0][0]),
+            (["ode", "--kappa", str(kappa), net], None),
+        ):
+            code, out, err = invoke(argv)
+            assert code == (EXIT_OK if accepted else EXIT_USAGE), (argv, err)
+            if not accepted:
+                assert err.startswith("error: ") and out == ""
+            elif read is not None:
+                assert read(json.loads(out)) == str(value)
+            else:
+                kappa.write_text(f"0 {value}\n1 1\n")
+                assert invoke(argv) == (EXIT_OK, out, "")
 
 
 class TestSharedParser:

@@ -10,7 +10,13 @@ from math import gcd
 
 import pytest
 
-from conftest import grid_minors_network, random_network
+import crnsiphon.geometry as geometry_module
+from conftest import (
+    grid_minors_network,
+    random_network,
+    reference_kernel_vectors,
+    reference_normalize_integer_vector,
+)
 from crnsiphon.geometry import (
     InvariantPolytope,
     NotPointedError,
@@ -21,7 +27,13 @@ from crnsiphon.geometry import (
     face_nonempty,
     vertex_supports,
 )
-from crnsiphon.linalg import RationalMatrix, SubspaceBasis, conservation_basis, dot
+from crnsiphon.linalg import (
+    RationalMatrix,
+    SubspaceBasis,
+    conservation_basis,
+    dot,
+    row_reduce,
+)
 from crnsiphon.network import parse_network
 from crnsiphon.siphons import Siphon
 
@@ -309,6 +321,86 @@ class TestDoubleDescription:
             c0 = [F(1)] * 25
             c0[net.species.index["c33"]] = center
             assert chamber_signature(net, c0) != ones
+
+
+def _reference_rays(red, fix_sign=True):
+    return [tuple(int(x) for x in v) for v in reference_kernel_vectors(red, fix_sign)]
+
+
+def _reference_facets(basis):
+    """Facets as ``build_cone`` found them on Fractions: the double
+    description on the Fraction route's kernel vectors, and each normal
+    read off the Fraction RREF of ``[A^T | laws]``; None when not pointed."""
+    a = basis.matrix
+    d, s = a.rows, a.cols
+    if d == 0:
+        return []
+    kernel = RationalMatrix(tuple(reference_kernel_vectors(row_reduce(a))), s)
+    laws = geometry_module._extreme_rays(kernel)
+    if any(all(not z[i] for z in laws) for i in range(s)):
+        return None
+    rows = [[F(x) for x in a.column(i)] + [F(z[i]) for z in laws] for i in range(s)]
+    red = row_reduce(RationalMatrix.from_rows(rows, cols=d + len(laws)))
+    facets = []
+    for j, z in enumerate(laws):
+        normal = [red.rref.entries[r][d + j] for r in range(d)]
+        members = tuple(i for i, x in enumerate(z) if not x)
+        facets.append((members, reference_normalize_integer_vector(normal, fix_sign=False)))
+    return sorted(facets)
+
+
+def _reference_vertex_supports(p):
+    """Vertex supports from the Fraction right-hand side ``A c0``."""
+    s = p.num_species
+    rhs = [sum(F(a) * x for a, x in zip(row, p.c0)) for row in p.matrix.entries]
+    homogenized = RationalMatrix.from_rows(
+        [[F(a) for a in row] + [-b] for row, b in zip(p.matrix.entries, rhs)], cols=s + 1
+    )
+    rays = geometry_module._extreme_rays(homogenized)
+    supports = {tuple(i for i in range(s) if ray[i]) for ray in rays if ray[s]}
+    return tuple(sorted(supports, key=lambda sup: (len(sup), sup)))
+
+
+class TestIntegerRouteMatchesFractionRoute:
+    """Conservation bases, facets and vertex supports equal those of the
+    Fraction route the integer kernel replaced (see
+    ``conftest.reference_kernel_vectors``)."""
+
+    @staticmethod
+    def check(net, c0, monkeypatch):
+        basis = conservation_basis(net)
+        gens = RationalMatrix.from_rows(
+            [[F(x) for x in v] for v in net.integer_net_changes], cols=net.num_species
+        )
+        assert basis.matrix.entries == tuple(reference_kernel_vectors(row_reduce(gens)))
+        p = InvariantPolytope(basis.matrix, c0)
+        with monkeypatch.context() as patched:
+            patched.setattr(geometry_module, "kernel_vectors", _reference_rays)
+            facets = _reference_facets(basis)
+            supports = _reference_vertex_supports(p)
+        cone = build_cone(basis)
+        assert cone.pointed == (facets is not None)
+        if cone.pointed:
+            assert [(f.members, f.normal) for f in cone.facets] == facets
+        assert vertex_supports(p) == supports
+        entries = [x for row in basis.matrix.entries for x in row]
+        entries += [x for f in cone.facets or () for x in f.normal]
+        entries += [x for row in p.integer_rows for x in row[0]]
+        assert all(type(x) is int for x in entries)
+        return "no laws" if basis.dim == 0 else "pointed" if cone.pointed else "not pointed"
+
+    def test_random_networks(self, monkeypatch):
+        rng = random.Random(2026)
+        kinds = Counter()
+        for _ in range(200):
+            net = random_network(rng, max_species=10)
+            c0 = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(net.num_species)]
+            kinds[self.check(net, c0, monkeypatch)] += 1
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_grids(self, monkeypatch):
+        for n in (3, 4, 5, 6):
+            assert self.check(grid_minors_network(n), [1] * (n * n), monkeypatch) == "pointed"
 
 
 class TestFaces:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_minors_network, random_network
+from conftest import grid_minors_network, random_network, reference_kernel_vectors
 from crnsiphon.linalg import (
     RationalMatrix,
     SubspaceBasis,
@@ -18,6 +19,7 @@ from crnsiphon.linalg import (
     dot,
     in_row_space,
     integer_row,
+    kernel_vectors,
     normalize_integer_vector,
     nullspace_basis,
     rank,
@@ -79,15 +81,18 @@ class TestRowReduce:
 BIG_DENOMINATORS = (1, 1, 2, 3, 7, 10**12 + 39, 2**61 - 1)
 
 
-def _kernel_matrix(rng: random.Random) -> RationalMatrix:
+def _kernel_matrix(rng: random.Random, integer: bool = False) -> RationalMatrix:
     """A small rational matrix with the shapes elimination gets wrong:
     no rows, zero rows and columns, repeated and negated rows, negative
-    pivots and denominators far past one machine word."""
+    pivots and denominators far past one machine word (with ``integer``,
+    a matrix of ints of the same shapes)."""
     nr, nc = rng.randint(0, 6), rng.randint(1, 6)
 
     def entry():
         if rng.random() < 0.3:
-            return Fraction(0)
+            return 0 if integer else Fraction(0)
+        if integer:
+            return rng.randint(-9, 9)
         return Fraction(rng.randint(-9, 9), rng.choice(BIG_DENOMINATORS))
 
     rows = [[entry() for _ in range(nc)] for _ in range(nr)]
@@ -98,7 +103,10 @@ def _kernel_matrix(rng: random.Random) -> RationalMatrix:
         for row in rows:
             row[dead] = Fraction(0)
     if nr >= 2 and rng.random() < 0.3:
-        k = Fraction(rng.choice((-3, -1, 2)), rng.choice(BIG_DENOMINATORS))
+        if integer:
+            k = rng.choice((-3, -1, 2))
+        else:
+            k = Fraction(rng.choice((-3, -1, 2)), rng.choice(BIG_DENOMINATORS))
         rows[rng.randrange(nr)] = [k * x for x in rows[rng.randrange(nr)]]
     if rows and rng.random() < 0.3:
         rows[0][0] = -abs(rows[0][0]) or Fraction(-1)
@@ -150,6 +158,50 @@ class TestIntegerKernel:
             (Fraction(1), Fraction(-2), Fraction(0)),
             (Fraction(0), Fraction(0), Fraction(1)),
         )
+
+
+class TestKernelAgainstFractionRoute:
+    """The integer kernel vectors against the Fraction route they
+    replaced (``reference_kernel_vectors``: RREF, then 1 at the free
+    column, then scaled to integers)."""
+
+    def test_random_integer_and_rational_matrices(self):
+        rng = random.Random(16)
+        shapes = Counter()
+        for k in range(600):
+            m = _kernel_matrix(rng, integer=k % 2 == 0)
+            red = row_reduce(m)
+            routes = {fix_sign: kernel_vectors(red, fix_sign) for fix_sign in (True, False)}
+            assert "rref" not in vars(red)  # the Fraction view is built only when read
+            for fix_sign, vectors in routes.items():
+                assert vectors == reference_kernel_vectors(red, fix_sign)
+                assert all(type(x) is int for v in vectors for x in v)
+            basis = nullspace_basis(m)
+            assert basis.entries == tuple(reference_kernel_vectors(red))
+            for v in basis.entries:
+                assert all(dot(row, v) == 0 for row in m.entries)
+            shapes.update(
+                {
+                    "integer": k % 2 == 0,
+                    "no rows": m.rows == 0,
+                    "rank-deficient": red.rank < min(m.rows, m.cols),
+                    "zero row": any(not any(row) for row in m.entries),
+                    "zero column": any(not any(m.column(j)) for j in range(m.cols)),
+                    "negative pivot": any(
+                        row[c] < 0 for row, c in zip(red.pivot_rows, red.pivot_cols)
+                    ),
+                }
+            )
+        assert min(shapes.values()) >= 30, shapes
+
+    def test_scaled_column_is_the_rref_column(self):
+        m = RationalMatrix.from_rows([[-2, 4, 1, 3], [3, -6, Fraction(-1, 2), 0], [0, 0, 5, 7]])
+        red = row_reduce(m)
+        for f in range(m.cols):
+            x, scale = red.scaled_column(f)
+            assert scale > 0
+            column = [row[f] for row in red.rref.entries[: red.rank]]
+            assert [Fraction(xi, scale) for xi in x] == column
 
 
 # zeros and small integers often, so that pivots need row swaps and rows

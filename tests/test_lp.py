@@ -47,6 +47,9 @@ def _reference_feasible(system):
     """Phase-one simplex on a tableau of Fractions with Bland's rule: the
     same pivot rule as the kernel, in the plainest arithmetic."""
     coeffs, rhs = system.all_rows()
+    # rows may hold ints; read them as Fractions so that `/` stays exact
+    coeffs = [[Fraction(x) for x in row] for row in coeffs]
+    rhs = [Fraction(b) for b in rhs]
     m = len(coeffs)
     cols = []
     for j in range(system.num_vars):

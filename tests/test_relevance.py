@@ -316,6 +316,25 @@ class TestAnalyze:
         # the network's cached net-change vectors
         assert calls["stoichiometric_generators"] == 1
 
+    def test_cone_is_built_once_per_network(self, monkeypatch):
+        import crnsiphon.geometry as geometry_module
+
+        rays = []
+        real = geometry_module._extreme_rays
+
+        def counted(e):
+            rays.append(e.cols)
+            return real(e)
+
+        monkeypatch.setattr(geometry_module, "_extreme_rays", counted)
+        net = grid_minors_network(3)
+        first, second = analyze(net), analyze(net)
+        assert first.cone is second.cone
+        siphons = [a.verdict.siphon for a in first.siphons]
+        for z in siphons * 3:
+            assert is_relevant_by_facets(net, z).relevant == is_relevant(net, z).relevant
+        assert len(rays) == 1
+
     def test_minimal_siphons_are_not_rechecked(self, monkeypatch):
         import crnsiphon.relevance as relevance_module
 
