@@ -18,8 +18,9 @@ species, seeded random networks of at most 10 species, and calls that
 end in a usage, parse or budget error.  Each network is asked for every
 subcommand, with integer and rational starts, sample files and rates.
 ``--quick`` keeps the paper networks, the 3x3 grid, 5 random networks
-and the error calls.  ``--src`` imports ``crnsiphon`` from the given
-source directory instead of this checkout's.
+and the error calls, and asks for the invariance certificate of one
+minimal siphon of each paper network.  ``--src`` imports ``crnsiphon``
+from the given source directory instead of this checkout's.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def network_calls(name: str, text: str, rng: random.Random, files: dict[str, str
         ["analyze", path, "--c0", ones],
         ["analyze", path, "--format", "text", "--c0", start, "--omega", f"{name}.omega"],
         ["ode", path, "--kappa", f"{name}.kappa"],
-        ["invariance-check", path, "--siphon", species[-1], "--trials", "3"],
+        ["invariance-check", path, "--siphon", species[-1]],
         ["export-cas", path],
         ["export-cas", path, "--flavor", "monomial", "--no-boundary"],
     ]
@@ -235,6 +236,11 @@ def corpus(quick: bool) -> tuple[list, dict[str, str]]:
     calls = []
     for name, text in PAPER.items():
         calls += network_calls(name, text, rng, files)
+    if quick:
+        # a minimal siphon of each paper network, so the quick corpus also
+        # prints invariance certificates
+        for name, siphon in zip(PAPER, ("A,B,E", "I,R", "E,X")):
+            calls.append(["invariance-check", f"{name}.crn", "--siphon", siphon])
     for n in (3,) if quick else (3, 4, 5, 6):
         calls += grid_calls(n, rng, files)
     if not quick:

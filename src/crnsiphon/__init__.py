@@ -44,7 +44,6 @@ from crnsiphon.siphons import (
     BudgetExceededError,
     Hypergraph,
     Siphon,
-    brute_force_minimal_siphons,
     is_siphon,
     minimal_siphon_counts,
     minimal_siphons,
@@ -114,7 +113,6 @@ __all__ = [
     "SubspaceBasis",
     "affine_dim",
     "analyze",
-    "brute_force_minimal_siphons",
     "build_cone",
     "build_rhs",
     "canonical_text",

@@ -1,39 +1,39 @@
-"""Mass-action vector fields and exact checks on siphon faces.
+"""Mass-action vector fields and exact certificates for siphon faces.
 
 The right-hand side of the mass-action ODE is assembled per species as a
 list of (coefficient, exponent-vector) monomial terms with exact rational
-coefficients.  Two randomized-but-exact checks are built on top of it:
+coefficients.  Two face properties hold for every choice of positive
+rates, and each is proved by a certificate read off the network:
 
-* face invariance: on the face ``x_Z = 0`` of the orthant, every
-  coordinate in a siphon Z has derivative exactly zero (plus the sharper
-  structural fact that every positive term of such a coordinate contains
-  a Z-variable);
-* steady faces: for strongly connected networks, every point of a siphon
-  face annihilates the whole right-hand side, not just the Z-coordinates.
+* face invariance: Z is a siphon exactly when the face ``x_Z = 0`` of the
+  orthant is forward invariant.  Every positive term of a Z-coordinate is
+  the rate monomial ``x^y`` of a reaction ``y -> y'`` producing a member of
+  Z, and a siphon's such reaction consumes a member of Z, so the monomial
+  vanishes on the face;
+* steady faces: in a strongly connected network, a siphon that meets one
+  complex meets every complex, so every monomial of the field vanishes on
+  its face and each face point is a steady state.
 
-All sampling uses exact rationals from a seeded generator; a "pass" means
-the identities held exactly at every sampled point.
+``structurally_annihilates_face`` checks the first property on an
+assembled field; the tests check the certificates against it.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from crnsiphon.network import ReactionNetwork, connectivity
-from crnsiphon.siphons import is_siphon
+from crnsiphon.siphons import is_siphon, siphon_violation
 
 __all__ = [
     "MassActionSystem",
     "PolynomialVectorField",
-    "FaceCheckFailure",
     "build_rhs",
     "eval_rhs",
     "check_face_invariance",
     "check_steady_face",
-    "random_rate_assignment",
     "structurally_annihilates_face",
 ]
 
@@ -119,70 +119,31 @@ def structurally_annihilates_face(field: PolynomialVectorField, members: Iterabl
     return True
 
 
-@dataclass(frozen=True)
-class FaceCheckFailure:
-    kind: str
-    species: int | None = None
-    point: Vec | None = None
-    kappa: Vec | None = None
-    value: Fraction | None = None
-
-
-def random_rate_assignment(net: ReactionNetwork, rng: random.Random) -> Vec:
+def check_face_invariance(
+    net: ReactionNetwork, members: Iterable[int]
+) -> tuple[tuple[int, int], ...]:
+    """The certificate that the face x_Z = 0 is forward invariant for every
+    choice of positive rates: one (reaction index, species index) pair per
+    reaction that produces a member of Z, in reaction order, naming the
+    least member of Z that the reaction consumes.  Raises ``ValueError``
+    naming a violating reaction when Z is not a siphon."""
+    z = set(members)
+    violation = siphon_violation(net, z)
+    if violation is not None:
+        raise ValueError(f"not a siphon, so its face need not be invariant: {violation.reason}")
     return tuple(
-        Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in net.reactions
+        (ri, min(net.reactant_support(ri) & z))
+        for ri in range(len(net.reactions))
+        if net.product_support(ri) & z
     )
 
 
-def _random_face_point(s: int, members: set[int], rng: random.Random) -> Vec:
-    point = []
-    for i in range(s):
-        if i in members or rng.random() < 0.1:
-            point.append(Fraction(0))
-        else:
-            point.append(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
-    return tuple(point)
-
-
-def _require_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-
-
-def check_face_invariance(
-    net: ReactionNetwork, members: Iterable[int], trials: int = 20, seed: int = 0
-) -> FaceCheckFailure | None:
-    """For a siphon Z, verify the Z-coordinates of the field vanish on the
-    face x_Z = 0: structurally, and exactly at random sampled points.
-    ``trials`` must be at least 1."""
-    _require_trials(trials)
-    z = set(members)
-    if not is_siphon(net, z):
-        raise ValueError("face invariance is only guaranteed for siphons")
-    master = random.Random(seed)
-    for trial in range(trials):
-        rng = random.Random(master.randrange(2**63))
-        kappa = random_rate_assignment(net, rng)
-        field = build_rhs(MassActionSystem(net, kappa))
-        if not structurally_annihilates_face(field, z):
-            return FaceCheckFailure("structural", kappa=kappa)
-        point = _random_face_point(net.num_species, z, rng)
-        values = eval_rhs(field, point)
-        for i in sorted(z):
-            if values[i] != 0:
-                return FaceCheckFailure(
-                    "derivative", species=i, point=point, kappa=kappa, value=values[i]
-                )
-    return None
-
-
-def check_steady_face(
-    net: ReactionNetwork, members: Iterable[int], trials: int = 20, seed: int = 0
-) -> FaceCheckFailure | None:
-    """For strongly connected networks every point of a siphon face is a
-    steady state: the whole field vanishes there, exactly.  ``trials``
-    must be at least 1."""
-    _require_trials(trials)
+def check_steady_face(net: ReactionNetwork, members: Iterable[int]) -> tuple[int, ...]:
+    """The certificate that every point of the face x_Z = 0 of a strongly
+    connected network is a steady state for every choice of positive rates:
+    for each complex, in complex order, the least member of Z in its
+    support.  Each monomial of the field is some complex's ``x^y``, so all
+    of them vanish on the face."""
     if not connectivity(net).is_strongly_connected:
         raise ValueError("the steady-face property requires a strongly connected network")
     z = set(members)
@@ -191,16 +152,12 @@ def check_steady_face(
     if all(z.isdisjoint(c.support) for c in net.complexes):
         # no complex vanishes on the face, so nothing forces steadiness
         raise ValueError("the siphon must contain a species occurring in some complex")
-    master = random.Random(seed)
-    for trial in range(trials):
-        rng = random.Random(master.randrange(2**63))
-        kappa = random_rate_assignment(net, rng)
-        field = build_rhs(MassActionSystem(net, kappa))
-        point = _random_face_point(net.num_species, z, rng)
-        values = eval_rhs(field, point)
-        for i, v in enumerate(values):
-            if v != 0:
-                return FaceCheckFailure(
-                    "nonzero_field", species=i, point=point, kappa=kappa, value=v
-                )
-    return None
+    # a reaction into a complex that meets Z starts at one that meets Z, and
+    # strong connectivity carries that back to every complex
+    witnesses = []
+    for k, c in enumerate(net.complexes):
+        hit = z & c.support
+        if not hit:
+            raise AssertionError(f"internal error: the siphon misses complex {k}")
+        witnesses.append(min(hit))
+    return tuple(witnesses)

@@ -1,10 +1,9 @@
 """Siphon predicate, minimal-siphon enumeration, and hypergraph transversals.
 
 A siphon is a non-empty species set Z such that every reaction producing a
-species of Z already consumes some species of Z.  Three enumeration routes
+species of Z already consumes some species of Z.  Two enumeration routes
 live here:
 
-* ``brute_force_minimal_siphons`` — the oracle: filter all subsets.
 * the search route — depth-first search that repairs one violated
   production clause at a time; each leaf siphon is shrunk to a minimal one
   before it is recorded, and branches that contain a recorded siphon are
@@ -13,8 +12,8 @@ live here:
   siphons are exactly the minimal transversals of the complex supports, so
   the hypergraph dualizer below applies.
 
-``minimal_siphons`` and ``minimal_siphon_counts`` choose between the last
-two by strong connectivity alone.  Both routes run on explicit stacks, so no
+``minimal_siphons`` and ``minimal_siphon_counts`` choose between them by
+strong connectivity alone.  Both routes run on explicit stacks, so no
 enumeration here is bounded by the interpreter's recursion limit.
 
 One walker, ``_walk``, dualizes hypergraphs: the MMCS search of Murakami
@@ -48,15 +47,12 @@ __all__ = [
     "TransversalTally",
     "is_siphon",
     "siphon_violation",
-    "brute_force_minimal_siphons",
     "minimal_siphons",
     "minimal_siphon_counts",
     "minimal_transversals",
     "transversal_counts",
     "complex_support_hypergraph",
 ]
-
-_BRUTE_FORCE_LIMIT = 22
 
 
 @dataclass(frozen=True, order=True)
@@ -517,14 +513,6 @@ def _reaction_masks(net: ReactionNetwork) -> list[tuple[int, int]]:
     return masks
 
 
-def _minimal_filter(found: Iterable[int]) -> list[int]:
-    kept: list[int] = []
-    for mask in sorted(set(found), key=lambda z: (z.bit_count(), z)):
-        if not any(k & mask == k for k in kept):
-            kept.append(mask)
-    return kept
-
-
 def _mask_to_siphon(mask: int) -> Siphon:
     members = []
     while mask:
@@ -540,19 +528,6 @@ def _by_size(siphons: Iterable[Siphon]) -> list[Siphon]:
 
 def _sorted_siphons(masks: Iterable[int]) -> list[Siphon]:
     return _by_size(map(_mask_to_siphon, masks))
-
-
-def brute_force_minimal_siphons(net: ReactionNetwork) -> list[Siphon]:
-    """Oracle enumeration over all non-empty subsets (guarded to s <= 22)."""
-    s = net.num_species
-    if s > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force is limited to {_BRUTE_FORCE_LIMIT} species, got {s}")
-    masks = _reaction_masks(net)
-    siphon_masks = []
-    for z in range(1, 1 << s):
-        if all(not (prod & z) or (reac & z) for reac, prod in masks):
-            siphon_masks.append(z)
-    return _sorted_siphons(_minimal_filter(siphon_masks))
 
 
 def _largest_siphon_in(z: int, masks: list[tuple[int, int]]) -> int:

@@ -1,4 +1,5 @@
-"""Shared fixtures: benchmark networks and a random-network generator."""
+"""Shared fixtures: benchmark networks, a random-network generator, and the
+oracles the tests check the library against."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from crnsiphon.network import (
     SpeciesTable,
     parse_network,
 )
+from crnsiphon.siphons import Siphon
 
 # the grid builder lives in the sweep script, which cannot import from tests/
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -135,6 +137,56 @@ def random_network(
         from crnsiphon.network import canonical_text
 
         return parse_network(canonical_text(net))
+
+
+# Oracles: subset enumeration for the minimal siphons, and random positive
+# rates and face points for the exact field identities.
+
+BRUTE_FORCE_LIMIT = 22
+
+
+def _minimal_filter(found) -> list[int]:
+    kept: list[int] = []
+    for mask in sorted(set(found), key=lambda z: (z.bit_count(), z)):
+        if not any(k & mask == k for k in kept):
+            kept.append(mask)
+    return kept
+
+
+def brute_force_minimal_siphons(net: ReactionNetwork) -> list[Siphon]:
+    """Every non-empty subset that meets the siphon clauses, filtered to the
+    inclusion-minimal ones, by size then members (guarded to s <= 22)."""
+    s = net.num_species
+    if s > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force is limited to {BRUTE_FORCE_LIMIT} species, got {s}")
+    masks = [
+        (sum(1 << i for i in net.reactant_support(r)), sum(1 << i for i in net.product_support(r)))
+        for r in range(len(net.reactions))
+    ]
+    siphon_masks = [
+        z for z in range(1, 1 << s) if all(not (prod & z) or (reac & z) for reac, prod in masks)
+    ]
+    siphons = [
+        Siphon(tuple(i for i in range(s) if mask >> i & 1))
+        for mask in _minimal_filter(siphon_masks)
+    ]
+    return sorted(siphons, key=lambda z: (len(z.members), z.members))
+
+
+def random_rate_assignment(net: ReactionNetwork, rng: random.Random) -> tuple[Fraction, ...]:
+    return tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in net.reactions)
+
+
+def random_face_point(s: int, members: set[int], rng: random.Random) -> tuple[Fraction, ...]:
+    """A point of the face x_Z = 0 with about a tenth of its other
+    coordinates zero too."""
+    point = []
+    for i in range(s):
+        if i in members or rng.random() < 0.1:
+            point.append(Fraction(0))
+        else:
+            point.append(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    return tuple(point)
 
 
 # The Fraction route the integer kernel replaced, kept as a reference: the

@@ -16,13 +16,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import chain_network, grid_symmetries, random_network
+from conftest import (
+    brute_force_minimal_siphons,
+    chain_network,
+    grid_symmetries,
+    random_face_point,
+    random_network,
+    random_rate_assignment,
+)
 from crnsiphon.dynamics import (
     MassActionSystem,
     build_rhs,
     check_face_invariance,
     eval_rhs,
-    random_rate_assignment,
+    structurally_annihilates_face,
 )
 from crnsiphon.geometry import InvariantPolytope, build_cone, face_dimension
 from crnsiphon.linalg import RationalMatrix, conservation_basis, in_row_space
@@ -40,7 +47,6 @@ from crnsiphon.siphons import (
     Hypergraph,
     Siphon,
     _search_route,
-    brute_force_minimal_siphons,
     complex_support_hypergraph,
     minimal_siphons,
     transversal_counts,
@@ -417,7 +423,18 @@ def test_property_face_annihilation(receptor_ligand, enzyme_inhibitor, futile_cy
         nets += [random_network(rng, max_species=7) for _ in range(10)]
         for net in nets:
             for z in minimal_siphons(net):
-                assert check_face_invariance(net, z.members, trials=20, seed=97) is None
+                members = set(z.members)
+                for ri, species in check_face_invariance(net, members):
+                    assert species in members & net.reactant_support(ri)
+                master = random.Random(97)
+                for _ in range(20):
+                    trial = random.Random(master.randrange(2**63))
+                    kappa = random_rate_assignment(net, trial)
+                    field = build_rhs(MassActionSystem(net, kappa))
+                    assert structurally_annihilates_face(field, members)
+                    point = random_face_point(net.num_species, members, trial)
+                    values = eval_rhs(field, point)
+                    assert all(values[i] == 0 for i in members)
 
 
 def test_property_lp_reverification():

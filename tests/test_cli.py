@@ -270,6 +270,61 @@ class TestRationalReaders:
                 assert invoke(argv) == (EXIT_OK, out, "")
 
 
+class TestEmptyEntries:
+    """An empty comma-separated entry of ``--c0`` or of an ``--omega`` line
+    is a usage error naming its position; it is never dropped."""
+
+    @pytest.mark.parametrize(
+        "text, position, count",
+        [(",1", 1, 2), ("1,", 2, 2), ("1,,1", 2, 3), ("1, \t,1", 2, 3), (",,", 1, 3)],
+    )
+    def test_c0_and_omega(self, readers_dir, text, position, count):
+        net = str(readers_dir / "net.crn")
+        omega = readers_dir / "empty_entry.txt"
+        omega.write_text(f"1,1\n{text}\n", encoding="utf-8")
+        for argv, where in (
+            (["analyze", f"--c0={text}", net], "--c0"),
+            (["analyze", "--omega", str(omega), net], f"{omega}:2"),
+        ):
+            code, out, err = invoke(argv)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == f"error: {where}: entry {position} of {count} is empty\n"
+
+    def test_gap_in_a_receptor_ligand_start(self, receptor_file):
+        code, out, err = invoke(["vertices", "--c0", "1,,1,1,1,1", receptor_file])
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --c0: entry 2 of 6 is empty\n")
+
+
+# pieces of a --symmetry file: receptor-ligand's names and others, whole
+# permutation lines, separators, comments, line breaks and bytes that are
+# not UTF-8
+_SYMMETRY_PIECES = st.sampled_from(
+    [b"A", b"B", b"C", b"D", b"E", b"Q", b"a", b",", b" ", b"\t", b"\n", b"\r\n", b"#",
+     b"A B C D E\n", b"A,B,C,D,E\n", b"E D C B A\n", b"B A C D E\n", b"# A B C D E\n",
+     b"\xff", b"\xc3", b"\xc3\xa9", b"\x00"]
+)
+
+
+class TestSymmetryReader:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_SYMMETRY_PIECES, max_size=12).map(b"".join))
+    @example(b"A B C D E\n")
+    @example(b"A,B,C,D,E\nA B C D E # identity twice\n\n")
+    @example(b"A B C D E A\n")
+    @example(b"A B C D \xff\n")
+    def test_exit_code_and_message(self, readers_dir, data):
+        net = readers_dir / "receptor_ligand.crn"
+        net.write_text(RECEPTOR_LIGAND)
+        sym = readers_dir / "sym.txt"
+        sym.write_bytes(data)
+        code, out, err = invoke(["analyze", "--symmetry", str(sym), str(net)])
+        if code == EXIT_OK:
+            assert err == "" and json.loads(out)["orbits"]
+        else:
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestSharedParser:
     """``run`` builds its parser once per process; no call may see another's
     arguments or errors."""
@@ -536,38 +591,41 @@ class TestOdeAndInvariance:
         assert code == EXIT_OK
         assert out.splitlines() == ["dX/dt = -2*X", "dY/dt = 2*X"]
 
-    def test_invariance_check_pass(self, receptor_file):
-        code, out, _ = invoke(
-            ["invariance-check", "--siphon", "A,B,E", "--trials", "5", receptor_file]
-        )
-        assert code == EXIT_OK
-        assert "pass" in out
+    def test_invariance_check_pass(self, futile_file):
+        code, out, err = invoke(["invariance-check", "--siphon", "E,X", futile_file])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == [
+            "S0 + E -> X: consumes E",
+            "X -> S0 + E: consumes X",
+            "X -> E + P: consumes X",
+            "pass: every reaction producing a member of {E X} consumes one, so the face "
+            "x_Z = 0 is forward invariant for every choice of positive rates",
+        ]
 
     def test_invariance_check_non_siphon(self, receptor_file):
-        code, _, err = invoke(["invariance-check", "--siphon", "E", receptor_file])
-        assert code == EXIT_USAGE
-        assert "siphon" in err
+        code, out, err = invoke(["invariance-check", "--siphon", "E", receptor_file])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: not a siphon, so its face need not be invariant: "
+            "reaction A + D -> E produces a member but consumes none\n"
+        )
 
+    # the certificate draws nothing, so --trials and --seed are usage errors
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_invariance_check_needs_a_trial(self, receptor_file, trials):
         code, out, err = invoke(
             ["invariance-check", "--siphon", "A,B,E", "--trials", trials, receptor_file]
         )
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"error: trials must be at least 1, got {trials}\n"
+        assert err.startswith("error: unrecognized arguments")
+        assert "--trials" in err
 
-    def test_invariance_counterexample_is_internal_error(self, receptor_file, monkeypatch):
-        import crnsiphon.cli as cli_module
-        from crnsiphon.dynamics import FaceCheckFailure
-
-        monkeypatch.setattr(
-            cli_module,
-            "check_face_invariance",
-            lambda *a, **k: FaceCheckFailure("derivative", species=0),
+    def test_invariance_check_has_no_sampling_options(self, receptor_file):
+        code, out, err = invoke(
+            ["invariance-check", "--siphon", "A,B,E", "--seed", "5", receptor_file]
         )
-        code, _, err = invoke(["invariance-check", "--siphon", "A,B,E", receptor_file])
-        assert code == EXIT_INTERNAL
-        assert "FAIL" in err
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: unrecognized arguments")
 
 
 class TestExportCas:

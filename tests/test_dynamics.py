@@ -1,4 +1,4 @@
-"""Mass-action right-hand sides and exact face checks."""
+"""Mass-action right-hand sides and the exact face certificates."""
 
 from __future__ import annotations
 
@@ -7,19 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_network
+from conftest import random_network, random_rate_assignment
 from crnsiphon.dynamics import (
     MassActionSystem,
     build_rhs,
     check_face_invariance,
     check_steady_face,
     eval_rhs,
-    random_rate_assignment,
     structurally_annihilates_face,
 )
 from crnsiphon.linalg import conservation_basis
 from crnsiphon.network import connectivity, parse_network
-from crnsiphon.siphons import Siphon, is_siphon
+from crnsiphon.siphons import Siphon, is_siphon, minimal_siphons, siphon_violation
 
 F = Fraction
 
@@ -131,68 +130,108 @@ class TestEvalRhs:
 class TestFaceChecks:
     def test_invariance_on_receptor_ligand(self, receptor_ligand):
         net = receptor_ligand
-        for names in (("A", "B", "E"), ("A", "C", "E"), ("C", "D", "E")):
-            z = Siphon.from_names(net, names)
-            assert check_face_invariance(net, z.members, trials=10, seed=5) is None
+        a, b, e = (net.species.index[n] for n in "ABE")
+        z = Siphon.from_names(net, ("A", "B", "E"))
+        # every reaction produces a member of {A, B, E}
+        assert check_face_invariance(net, z.members) == (
+            (0, a), (1, a), (2, a), (3, e), (4, e), (5, b), (6, b), (7, a)
+        )
+        for names in (("A", "C", "E"), ("C", "D", "E")):
+            z = set(Siphon.from_names(net, names).members)
+            for ri, species in check_face_invariance(net, z):
+                assert net.product_support(ri) & z
+                assert species == min(net.reactant_support(ri) & z)
 
     def test_full_set_passes_trivially(self, receptor_ligand):
         net = receptor_ligand
-        assert check_face_invariance(net, range(net.num_species), trials=3, seed=1) is None
+        assert check_face_invariance(net, range(net.num_species)) == tuple(
+            (ri, min(net.reactant_support(ri))) for ri in range(len(net.reactions))
+        )
 
     def test_non_siphon_rejected(self, receptor_ligand):
-        with pytest.raises(ValueError, match="siphon"):
+        with pytest.raises(ValueError, match=r"reaction A \+ D -> E produces a member"):
             check_face_invariance(receptor_ligand, [receptor_ligand.species.index["E"]])
 
     def test_steady_face_on_strongly_connected(self, receptor_ligand):
         net = receptor_ligand
-        for names in (("A", "C", "E"), ("C", "D", "E")):
-            z = Siphon.from_names(net, names)
-            assert check_steady_face(net, z.members, trials=10, seed=7) is None
+        a, c, d, e = (net.species.index[n] for n in "ACDE")
+        # complexes in order: 2A + C, A + D, E, B + C
+        assert check_steady_face(net, Siphon.from_names(net, "ACE").members) == (a, a, e, c)
+        assert check_steady_face(net, Siphon.from_names(net, "CDE").members) == (c, d, e, c)
 
+    # the proofs draw nothing, so a trial count or a seed is refused outright
     @pytest.mark.parametrize("trials", [0, -1])
     def test_invariance_needs_a_trial(self, receptor_ligand, trials):
         z = Siphon.from_names(receptor_ligand, ["A", "B", "E"])
-        with pytest.raises(ValueError, match="trials must be at least 1"):
+        with pytest.raises(TypeError, match="trials"):
             check_face_invariance(receptor_ligand, z.members, trials=trials)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_steady_face_needs_a_trial(self, receptor_ligand, trials):
         z = Siphon.from_names(receptor_ligand, ["C", "D", "E"])
-        with pytest.raises(ValueError, match="trials must be at least 1"):
+        with pytest.raises(TypeError, match="trials"):
             check_steady_face(receptor_ligand, z.members, trials=trials)
+
+    def test_sampling_parameters_are_gone(self, receptor_ligand):
+        z = Siphon.from_names(receptor_ligand, ["C", "D", "E"]).members
+        for check in (check_face_invariance, check_steady_face):
+            with pytest.raises(TypeError, match="seed"):
+                check(receptor_ligand, z, seed=1)
 
     def test_steady_face_requires_strong_connectivity(self, futile_cycle):
         z = Siphon.from_names(futile_cycle, ["E", "X"])
         with pytest.raises(ValueError, match="strongly connected"):
             check_steady_face(futile_cycle, z.members)
 
+    def test_steady_face_requires_a_complex_on_the_face(self):
+        net = parse_network("species X, Y, W\nX <-> Y\n")
+        with pytest.raises(ValueError, match="occurring in some complex"):
+            check_steady_face(net, [net.species.index["W"]])
+
     def test_structural_check_characterizes_siphons(self):
         # Z is a siphon exactly when every positive term of every
-        # Z-coordinate of the field contains a Z-variable
+        # Z-coordinate of the field contains a Z-variable, and the proof
+        # either names a consumed member for each producing reaction or the
+        # reaction that breaks the siphon condition
         rng = random.Random(64)
         for _ in range(25):
             net = random_network(rng, max_species=6)
             field = build_rhs(MassActionSystem(net, random_rate_assignment(net, rng)))
             s = net.num_species
+            reactions = range(len(net.reactions))
             for bits in range(1, 1 << s):
                 z = [i for i in range(s) if bits >> i & 1]
                 assert structurally_annihilates_face(field, z) == is_siphon(net, z)
+                violation = siphon_violation(net, z)
+                if violation is None:
+                    producing = [ri for ri in reactions if net.product_support(ri) & set(z)]
+                    certificate = check_face_invariance(net, z)
+                    assert [ri for ri, _ in certificate] == producing
+                    for ri, species in certificate:
+                        assert species == min(net.reactant_support(ri) & set(z))
+                else:
+                    with pytest.raises(ValueError) as exc:
+                        check_face_invariance(net, z)
+                    assert str(exc.value).endswith(violation.reason)
 
     def test_steady_faces_have_siphon_zero_sets(self):
         # random points on siphon faces of strongly connected networks are
-        # steady states whose zero sets are again siphons
+        # steady states whose zero sets are again siphons, and the proof
+        # names a member of the siphon in every complex
         rng = random.Random(65)
         checked = 0
         for _ in range(200):
             net = random_network(rng, max_species=6, allow_zero_complex=False)
             if not connectivity(net).is_strongly_connected:
                 continue
-            from crnsiphon.siphons import minimal_siphons
-
             for z in minimal_siphons(net):
                 if all(set(z.members).isdisjoint(c.support) for c in net.complexes):
                     continue  # a non-occurring species pins no complex to zero
                 checked += 1
+                witnesses = check_steady_face(net, z.members)
+                assert len(witnesses) == net.num_complexes
+                for c, species in zip(net.complexes, witnesses):
+                    assert species == min(set(z.members) & c.support)
                 field = build_rhs(MassActionSystem(net, random_rate_assignment(net, rng)))
                 point = [
                     F(0) if i in set(z.members) else F(rng.randint(1, 9), rng.randint(1, 9))

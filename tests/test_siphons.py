@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     DEEP_CHAIN,
     DEEP_DRAINED_CYCLE,
+    brute_force_minimal_siphons,
     chain_network,
     grid_minors_network,
     random_network,
@@ -29,7 +30,6 @@ from crnsiphon.siphons import (
     TransversalTally,
     _search_route,
     _transversal_route,
-    brute_force_minimal_siphons,
     complex_support_hypergraph,
     is_siphon,
     minimal_siphon_counts,
