@@ -22,17 +22,21 @@ decomposition down to the relevant siphons.
 
 from __future__ import annotations
 
-from crnsiphon.geometry import conservation_cone
-from crnsiphon.network import Complex, ReactionNetwork, connectivity
+from typing import Sequence
 
-__all__ = ["export_cas_script", "FLAVORS"]
+from crnsiphon.geometry import conservation_cone
+from crnsiphon.network import ReactionNetwork, connectivity
+
+__all__ = ["export_cas_script", "monomial", "FLAVORS"]
 
 FLAVORS = ("directed-binomial", "undirected-binomial", "monomial")
 
 
-def _monomial(cp: Complex, names: tuple[str, ...]) -> str:
+def monomial(exponents: Sequence[int], names: Sequence[str]) -> str:
+    """``x^e`` written as ``A*B^2``, or ``1`` for the empty monomial; the
+    ``ode`` output shares it."""
     factors = []
-    for i, e in enumerate(cp.exponents):
+    for i, e in enumerate(exponents):
         if e == 1:
             factors.append(names[i])
         elif e > 1:
@@ -44,8 +48,8 @@ def _directed_generators(net: ReactionNetwork) -> list[str]:
     names = net.species.names
     gens = []
     for r in net.reactions:
-        src = _monomial(net.complexes[r.source], names)
-        tgt = _monomial(net.complexes[r.target], names)
+        src = monomial(net.complexes[r.source].exponents, names)
+        tgt = monomial(net.complexes[r.target].exponents, names)
         gens.append(f"{src}*({tgt}-{src})")
     return gens
 
@@ -59,8 +63,8 @@ def _undirected_generators(net: ReactionNetwork) -> list[str]:
         if pair in seen:
             continue
         seen.add(pair)
-        src = _monomial(net.complexes[r.source], names)
-        tgt = _monomial(net.complexes[r.target], names)
+        src = monomial(net.complexes[r.source].exponents, names)
+        tgt = monomial(net.complexes[r.target].exponents, names)
         gens.append(f"{src}-{tgt}")
     return gens
 
@@ -87,7 +91,7 @@ def export_cas_script(
         f"theRing = QQ[{','.join(names)}];",
     ]
     if flavor == "monomial":
-        gens = [_monomial(c, names) for c in net.complexes]
+        gens = [monomial(c.exponents, names) for c in net.complexes]
         lines.append(f"complexIdeal = monomialIdeal({', '.join(gens)});")
         lines.append("-- variables of each minimal prime = one minimal siphon")
         lines.append("decompose complexIdeal")

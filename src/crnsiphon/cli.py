@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from crnsiphon import __version__
-from crnsiphon.casexport import FLAVORS, export_cas_script
+from crnsiphon.casexport import FLAVORS, export_cas_script, monomial
 from crnsiphon.dynamics import MassActionSystem, build_rhs, check_face_invariance
 from crnsiphon.geometry import InvariantPolytope, NotPointedError, conservation_cone, face_dimension
 from crnsiphon.network import ParseError, ReactionNetwork, canonical_text, parse_network
@@ -375,18 +375,12 @@ def _render_polynomial(terms, names) -> str:
         return "0"
     pieces = []
     for coeff, expo in terms:
-        factors = []
-        for i, e in enumerate(expo):
-            if e == 1:
-                factors.append(names[i])
-            elif e > 1:
-                factors.append(f"{names[i]}^{e}")
-        mono = "*".join(factors) if factors else "1"
+        mono = monomial(expo, names)
         if coeff < 0:
             sign, mag = " - ", -coeff
         else:
             sign, mag = " + ", coeff
-        body = mono if mag == 1 and factors else f"{mag}*{mono}"
+        body = mono if mag == 1 and any(expo) else f"{mag}*{mono}"
         pieces.append((sign, body))
     first_sign, first_body = pieces[0]
     text = ("-" if first_sign == " - " else "") + first_body
@@ -422,24 +416,26 @@ def build_arg_parser() -> _Parser:
 
     add("facets", "facets of the cone of conserved quantities")
 
+    def add_start(p, c0_help, assign_help=None):
+        # --c0 and --assign are two spellings of one start: naming both is a usage error
+        start = p.add_mutually_exclusive_group()
+        start.add_argument("--c0", help=c0_help)
+        start.add_argument("--assign", action="append", help=assign_help)
+
     p = add("vertices", "vertex supports of the invariant polytope")
-    p.add_argument("--c0", help="comma-separated rationals in species order")
-    p.add_argument("--assign", action="append", help="name=value (repeatable)")
+    add_start(p, "comma-separated rationals in species order", "name=value (repeatable)")
 
     p = add("relevance", "per-siphon relevance verdicts")
-    p.add_argument("--c0", help="initial condition (comma-separated rationals)")
-    p.add_argument("--assign", action="append")
+    add_start(p, "initial condition (comma-separated rationals)")
     p.add_argument("--omega", help="file of sample initial conditions, one per line")
     p.add_argument("--budget-ms", type=int, default=None)
 
     p = add("face-dim", "dimension of a face of the invariant polytope")
-    p.add_argument("--c0", help="initial condition")
-    p.add_argument("--assign", action="append")
+    add_start(p, "initial condition")
     p.add_argument("--siphon", help="comma-separated species names (may be empty)")
 
     p = add("analyze", "full analysis report")
-    p.add_argument("--c0", help="initial condition")
-    p.add_argument("--assign", action="append")
+    add_start(p, "initial condition")
     p.add_argument("--omega", help="file of sample initial conditions")
     p.add_argument("--symmetry", help="file of species permutations, one per line")
     p.add_argument("--format", choices=("json", "text"), default="json")

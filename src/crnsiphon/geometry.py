@@ -259,7 +259,7 @@ class InvariantPolytope:
         return vertex_supports(self)
 
     @cached_property
-    def integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+    def rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Each row ``[a_i | (A c0)_i]`` scaled to integers, once per
         polytope; every face system shares them."""
         scaled = (integer_row(row + (b,)) for row, b in zip(self.matrix.entries, self.rhs))
@@ -273,14 +273,7 @@ class InvariantPolytope:
 
     def face_system(self, zero_set: Iterable[int]) -> LinearSystem:
         s = self.num_species
-        return LinearSystem(
-            s,
-            self.matrix.entries,
-            self.rhs,
-            frozenset(range(s)),
-            frozenset(zero_set),
-            scaled_rows=self.integer_rows,
-        )
+        return LinearSystem(s, self.rows, frozenset(range(s)), frozenset(zero_set))
 
 
 def vertex_supports(p: InvariantPolytope) -> tuple[tuple[int, ...], ...]:

@@ -1,12 +1,10 @@
 """Exact rational linear-program feasibility with verified outcomes.
 
 The only solver exposed is phase-one simplex with Bland's anti-cycling
-rule, so every run terminates and every answer is exact.  A system's rows
-hold ints or Fractions (the conservation-law LPs and the faces of an
-integer start are all ints).  It pivots on an integer tableau: each row
-``[a | b]`` of a system is scaled to integers once, when the system is
-made (``LinearSystem.integer_rows``; systems that share rows, such as the
-faces of one invariant polytope, share the scaled rows too), and
+rule, so every run terminates and every answer is exact.  A system holds
+each row ``[a | b]`` scaled to integers once, when it is stated
+(``LinearSystem.rows``; systems that share rows, such as the faces of one
+invariant polytope, share them), and it pivots on an integer tableau:
 Edmonds/Bareiss pivots ``(x*piv - f*p) // det``
 keep every entry an integer, the division always exact, so no Fraction
 is built inside the loop.  A unit pivot, one whose entry equals the
@@ -33,10 +31,11 @@ row of the system in integers, scaling the answer themselves, and share
 no code with the pivots.
 
 Systems are stated as ``A x = b`` plus per-variable domains: each variable
-is free, constrained ``>= 0``, or pinned to ``0`` (pinning dominates).  An
-optional extra row requires a designated linear form to equal 1, which is
-how strict-positivity questions are asked (scale invariance turns
-"exists x with f(x) > 0" into "exists x with f(x) = 1").
+is free, constrained ``>= 0``, or pinned to ``0`` (pinning dominates).
+:meth:`LinearSystem.build` takes rational rows and an optional
+``normalization``: a linear form required to equal 1, appended as the last
+row, which is how strict-positivity questions are asked (scale invariance
+turns "exists x with f(x) > 0" into "exists x with f(x) = 1").
 
 :func:`affine_dim` finds the coordinates that are zero on the whole
 feasible set by witness union: each homogenized probe either shows some
@@ -48,7 +47,7 @@ over the columns left unpinned.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -66,7 +65,6 @@ __all__ = [
 ]
 
 Vec = tuple[Fraction, ...]
-Row = tuple[int | Fraction, ...]
 IntRow = tuple[tuple[int, ...], int]  # (row * scale, scale), see integer_row
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -75,41 +73,28 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 class LinearSystem:
     """``A x = b`` plus variable domains.
 
-    ``integer_rows`` holds every row ``[a | b]`` of :meth:`all_rows` scaled
-    to integers by :func:`~crnsiphon.linalg.integer_row`; the tableau build
-    and both verify gates read it.  It is derived from the rows when the
-    system is made, unless the maker passes those same rows already scaled
-    as ``scaled_rows`` (``InvariantPolytope.face_system`` scales its rows
-    once per polytope).  ``dataclasses.replace`` derives them afresh.
+    ``rows[i] = (ints, scale)`` is row ``[a_i | b_i]`` times a positive
+    ``scale``, as :func:`~crnsiphon.linalg.integer_row` returns it; the
+    tableau build, both verify gates and :func:`affine_dim` read only these.
+    Makers whose rows are already integers pass them as they are;
+    :meth:`build` scales rational rows.
     """
 
     num_vars: int
-    eq_coeffs: tuple[Row, ...]
-    eq_rhs: Row
+    rows: tuple[IntRow, ...]
     nonneg: frozenset[int]
     zero: frozenset[int]
-    normalization: Row | None = None  # extra row: normalization . x == 1
-    scaled_rows: InitVar[tuple[IntRow, ...] | None] = None
-    integer_rows: tuple[IntRow, ...] = field(init=False, compare=False, repr=False)
+    normalization = None  # read, with eq_coeffs, by crnbench/spans.py _tableau_cells
 
-    def __post_init__(self, scaled_rows):
-        if len(self.eq_coeffs) != len(self.eq_rhs):
-            raise ValueError("row/rhs count mismatch")
-        for row in self.eq_coeffs:
-            if len(row) != self.num_vars:
-                raise ValueError("row length does not match num_vars")
-        if self.normalization is not None and len(self.normalization) != self.num_vars:
-            raise ValueError("normalization length does not match num_vars")
+    def __post_init__(self):
+        for ints, scale in self.rows:
+            if len(ints) != self.num_vars + 1:
+                raise ValueError("row length does not match num_vars + 1")
+            if scale <= 0:
+                raise ValueError("row scale must be positive")
         for i in self.nonneg | self.zero:
             if not 0 <= i < self.num_vars:
                 raise ValueError("variable index out of range")
-        coeffs, rhs = self.all_rows()
-        if scaled_rows is None:
-            scaled = (integer_row(row + (b,)) for row, b in zip(coeffs, rhs))
-            scaled_rows = tuple((tuple(ints), s) for ints, s in scaled)
-        elif len(scaled_rows) != len(coeffs):
-            raise ValueError("scaled row count does not match the rows")
-        object.__setattr__(self, "integer_rows", scaled_rows)
 
     @classmethod
     def build(
@@ -120,28 +105,25 @@ class LinearSystem:
         zero: Sequence[int] = (),
         normalization: Sequence | None = None,
     ) -> "LinearSystem":
-        coeffs = RationalMatrix.from_rows([row for row, _ in eq_rows], cols=num_vars).entries
-        rhs = tuple(Fraction(b) for _, b in eq_rows)
-        norm = None
+        """The system of rational rows ``(a, b)``, each ``a . x == b``, with
+        ``normalization . x == 1`` appended last when given."""
+        stated = [(*a, b) for a, b in eq_rows]
         if normalization is not None:
-            norm = RationalMatrix.from_rows([normalization], cols=num_vars).entries[0]
-        return cls(num_vars, coeffs, rhs, frozenset(nonneg), frozenset(zero), norm)
+            stated.append((*normalization, 1))
+        rows = tuple((tuple(ints), s) for ints, s in map(integer_row, stated))
+        return cls(num_vars, rows, frozenset(nonneg), frozenset(zero))
 
-    def all_rows(self) -> tuple[tuple[Row, ...], Row]:
-        """Equality rows with the normalization row (rhs 1) folded in last."""
-        coeffs = self.eq_coeffs
-        rhs = self.eq_rhs
-        if self.normalization is not None:
-            coeffs = coeffs + (self.normalization,)
-            rhs = rhs + (1,)
-        return coeffs, rhs
+    @property
+    def eq_coeffs(self) -> tuple[tuple[int, ...], ...]:
+        """The scaled coefficients ``a_i * scale_i`` of every row."""
+        return tuple(ints[:-1] for ints, _ in self.rows)
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
     witness: Vec | None = None
-    certificate: Vec | None = None  # one multiplier per row (normalization last)
+    certificate: Vec | None = None  # one multiplier per row
 
     @property
     def status(self) -> str:
@@ -153,13 +135,13 @@ def verify_witness(system: LinearSystem, witness: Sequence[Fraction]) -> bool:
 
     Integer arithmetic only: the witness is scaled by one positive common
     denominator ``d``, each row ``[a | b]`` is read scaled by its own
-    (``system.integer_rows``), and ``a . x == b`` is tested as
+    (``system.rows``), and ``a . x == b`` is tested as
     ``a' . x' == b' * d``.
     """
     if len(witness) != system.num_vars:
         return False
     x, d = integer_row(witness)
-    for ints, _ in system.integer_rows:
+    for ints, _ in system.rows:
         if sum(a * v for a, v in zip(ints, x) if a and v) != ints[-1] * d:
             return False
     for i in range(system.num_vars):
@@ -176,12 +158,12 @@ def verify_certificate(system: LinearSystem, certificate: Sequence[Fraction]) ->
 
     Integer arithmetic only: the certificate is scaled by one positive
     common denominator, each row ``[a | b]`` is read scaled by its own
-    ``s_i`` (``system.integer_rows``), and the
+    ``s_i`` (``system.rows``), and the
     multiplier of row i by ``lcm(s) / s_i`` to undo that; the combined row
     is then a positive multiple of ``sum_i y_i [a_i | b_i]``, so every sign
     it is tested for is the rational one.
     """
-    scaled = system.integer_rows
+    scaled = system.rows
     if len(certificate) != len(scaled):
         return False
     y, _ = integer_row(certificate)
@@ -209,7 +191,7 @@ def verify_certificate(system: LinearSystem, certificate: Sequence[Fraction]) ->
 
 def feasible(system: LinearSystem) -> FeasibilityResult:
     """Decide feasibility; the returned witness/certificate re-verifies."""
-    rows = system.integer_rows
+    rows = system.rows
 
     # Internal columns: one per non-negative variable, a split pair per
     # free variable; pinned variables are dropped entirely.
@@ -222,7 +204,7 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
             col_map.append((j, -1))
     k = len(col_map)
 
-    # Integer rows: each row scaled to integers (``system.integer_rows``)
+    # Integer rows: each row scaled to integers (``system.rows``)
     # and multiplied by its rhs sign; the artificial column keeps entry 1,
     # so artificial i stands for scale_i times the artificial of row i.
     # Inert rows (zero on every live column, rhs 0) are left out, as the
@@ -351,23 +333,12 @@ def _homogenized_probe(system: LinearSystem, support: Sequence[int]) -> LinearSy
     somewhere on the (nonempty) feasible set: homogenize with a ray
     variable t >= 0 and normalize the sum over `support` to 1.
 
-    Each row ``[a | b]`` becomes ``[a, -b | 0]``, so its scaled integer row
-    is the system's with the same scale."""
-    coeffs, rhs = system.all_rows()
+    Each row ``[a | b]`` becomes ``[a, -b | 0]``, with the same scale."""
     n = system.num_vars
     inside = set(support)
-    norm = tuple(1 if j in inside else 0 for j in range(n + 1))
-    scaled = tuple((ints[:-1] + (-ints[-1], 0), s) for ints, s in system.integer_rows)
-    scaled += ((norm + (1,), 1),)
-    return LinearSystem(
-        n + 1,
-        tuple(row + (-b,) for row, b in zip(coeffs, rhs)),
-        (0,) * len(coeffs),
-        system.nonneg | {n},
-        system.zero,
-        norm,
-        scaled,
-    )
+    norm = tuple(1 if j in inside else 0 for j in range(n + 1)) + (1,)
+    rows = tuple((ints[:-1] + (-ints[-1], 0), s) for ints, s in system.rows)
+    return LinearSystem(n + 1, rows + ((norm, 1),), system.nonneg | {n}, system.zero)
 
 
 def affine_dim(system: LinearSystem, *, first: Sequence[Fraction] | None = None) -> int | None:
@@ -406,6 +377,6 @@ def affine_dim(system: LinearSystem, *, first: Sequence[Fraction] | None = None)
             break
         unsettled = [j for j in unsettled if probe.witness[j] == 0]
     free = [j for j in range(system.num_vars) if j not in pinned]
-    coeffs, _ = system.all_rows()
-    sub = RationalMatrix(tuple(tuple(row[j] for j in free) for row in coeffs), len(free))
+    # a positive scale per row leaves the rank unchanged
+    sub = RationalMatrix(tuple(tuple(ints[j] for j in free) for ints, _ in system.rows), len(free))
     return len(free) - rank(sub)

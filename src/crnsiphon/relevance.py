@@ -91,22 +91,13 @@ def supported_conservation_system(net: ReactionNetwork, members: Iterable[int]) 
     """LP asking for a non-negative conservation law supported inside Z,
     normalized to total mass 1 on Z so the zero law does not qualify.
 
-    The net changes are integer vectors, so the rows come already scaled
-    (by 1) and are not integerized again for every siphon."""
+    The net changes are integer vectors, so every row has scale 1; the
+    normalization row comes last."""
     z = frozenset(members)
     s = net.num_species
-    rows = net.integer_net_changes
-    normalization = tuple(1 if i in z else 0 for i in range(s))
-    scaled = tuple((v + (0,), 1) for v in rows) + ((normalization + (1,), 1),)
-    return LinearSystem(
-        s,
-        rows,
-        (0,) * len(rows),
-        nonneg=z,
-        zero=frozenset(range(s)) - z,
-        normalization=normalization,
-        scaled_rows=scaled,
-    )
+    normalization = tuple(1 if i in z else 0 for i in range(s)) + (1,)
+    rows = tuple((v + (0,), 1) for v in net.integer_net_changes) + ((normalization, 1),)
+    return LinearSystem(s, rows, nonneg=z, zero=frozenset(range(s)) - z)
 
 
 def is_relevant(net: ReactionNetwork, siphon: Siphon) -> RelevanceVerdict:

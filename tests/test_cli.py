@@ -185,6 +185,14 @@ class TestErrors:
         assert code == EXIT_USAGE
         assert "--c0" in err
 
+    @pytest.mark.parametrize("command", ["vertices", "relevance", "face-dim", "analyze"])
+    def test_c0_and_assign_together(self, receptor_file, command):
+        # two spellings of one start: naming both is a usage error, not an override
+        argv = [command, "--c0", "1,1,1,1,1", "--assign", "A=1,B=1,C=1,D=1,E=1", receptor_file]
+        code, out, err = invoke(argv + (["--siphon", "A,B,E"] if command == "face-dim" else []))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: argument --assign: not allowed with argument --c0\n"
+
     def test_decimal_rejected(self, receptor_file):
         code, _, err = invoke(["vertices", "--c0", "0.1,1,1,1,1", receptor_file])
         assert code == EXIT_USAGE

@@ -385,7 +385,7 @@ class TestIntegerRouteMatchesFractionRoute:
         assert vertex_supports(p) == supports
         entries = [x for row in basis.matrix.entries for x in row]
         entries += [x for f in cone.facets or () for x in f.normal]
-        entries += [x for row in p.integer_rows for x in row[0]]
+        entries += [x for row in p.rows for x in row[0]]
         assert all(type(x) is int for x in entries)
         return "no laws" if basis.dim == 0 else "pointed" if cone.pointed else "not pointed"
 

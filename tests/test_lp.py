@@ -25,10 +25,21 @@ from crnsiphon.siphons import Siphon
 F = Fraction
 
 
+def _stated_rows(system):
+    """The rational rows ``[a | b]`` a system states: each integer row
+    divided by its scale."""
+    return [[F(x, scale) for x in ints] for ints, scale in system.rows]
+
+
 def _simple(num_vars, rows, nonneg=(), zero=(), normalization=None):
-    return LinearSystem.build(
+    system = LinearSystem.build(
         num_vars, eq_rows=rows, nonneg=nonneg, zero=zero, normalization=normalization
     )
+    given = [[*a, b] for a, b in rows]
+    if normalization is not None:
+        given.append([*normalization, 1])
+    assert _stated_rows(system) == given
+    return system
 
 
 def _assert_verified(system):
@@ -46,10 +57,9 @@ def _assert_verified(system):
 def _reference_feasible(system):
     """Phase-one simplex on a tableau of Fractions with Bland's rule: the
     same pivot rule as the kernel, in the plainest arithmetic."""
-    coeffs, rhs = system.all_rows()
-    # rows may hold ints; read them as Fractions so that `/` stays exact
-    coeffs = [[Fraction(x) for x in row] for row in coeffs]
-    rhs = [Fraction(b) for b in rhs]
+    stated = _stated_rows(system)
+    coeffs = [row[:-1] for row in stated]
+    rhs = [row[-1] for row in stated]
     m = len(coeffs)
     cols = []
     for j in range(system.num_vars):
@@ -87,13 +97,12 @@ def _reference_feasible(system):
 def _pins_by_probes(system):
     """Coordinates zero on the whole (nonempty) feasible set, by one
     homogenized positivity probe for every non-negative coordinate."""
-    coeffs, rhs = system.all_rows()
     n = system.num_vars
     pinned = set(system.zero)
     for j in sorted(system.nonneg - system.zero):
         probe = LinearSystem.build(
             n + 1,
-            eq_rows=[(row + (-b,), 0) for row, b in zip(coeffs, rhs)],
+            eq_rows=[(row[:-1] + [-row[-1]], 0) for row in _stated_rows(system)],
             nonneg=tuple(system.nonneg) + (n,),
             zero=tuple(system.zero),
             normalization=[int(i == j) for i in range(n + 1)],
@@ -106,9 +115,9 @@ def _pins_by_probes(system):
 def _unit_row_dim(system, pinned):
     """Dimension of ``{A x = b, x_P = 0}`` as ``n - rank([A; e_P])``, with
     the unit rows written out and ranked by ``row_reduce``."""
-    coeffs, _ = system.all_rows()
     n = system.num_vars
-    rows = [list(r) for r in coeffs] + [[int(i == j) for i in range(n)] for j in sorted(pinned)]
+    rows = [r[:-1] for r in _stated_rows(system)]
+    rows += [[int(i == j) for i in range(n)] for j in sorted(pinned)]
     if not rows:
         return n
     return n - row_reduce(RationalMatrix.from_rows(rows, cols=n)).rank
@@ -149,9 +158,8 @@ def _reference_verify_witness(system, witness):
     """The gate in Fraction arithmetic, row by row."""
     if len(witness) != system.num_vars:
         return False
-    coeffs, rhs = system.all_rows()
-    for row, b in zip(coeffs, rhs):
-        if sum((a * x for a, x in zip(row, witness)), F(0)) != b:
+    for row in _stated_rows(system):
+        if sum((a * x for a, x in zip(row[:-1], witness)), F(0)) != row[-1]:
             return False
     for i in range(system.num_vars):
         if i in system.zero:
@@ -164,15 +172,15 @@ def _reference_verify_witness(system, witness):
 
 def _reference_verify_certificate(system, certificate):
     """The Farkas check in Fraction arithmetic, column by column."""
-    coeffs, rhs = system.all_rows()
-    if len(certificate) != len(coeffs):
+    stated = _stated_rows(system)
+    if len(certificate) != len(stated):
         return False
-    if sum((y * b for y, b in zip(certificate, rhs)), F(0)) <= 0:
+    if sum((y * row[-1] for y, row in zip(certificate, stated)), F(0)) <= 0:
         return False
     for j in range(system.num_vars):
         if j in system.zero:
             continue
-        combined = sum((y * row[j] for y, row in zip(certificate, coeffs)), F(0))
+        combined = sum((y * row[j] for y, row in zip(certificate, stated)), F(0))
         if j in system.nonneg:
             if combined > 0:
                 return False
@@ -470,7 +478,7 @@ class TestAffineDim:
         rng = random.Random(31)
         pinned_somewhere = 0
         for sys_ in _affine_corpus():
-            coeffs, _ = sys_.all_rows()
+            coeffs = [row[:-1] for row in _stated_rows(sys_)]
             n = sys_.num_vars
             pins = _pins_by_probes(sys_) if feasible(sys_).feasible else set()
             for pinned in (pins, set(sys_.zero), {j for j in range(n) if rng.random() < 0.4}):
@@ -526,7 +534,7 @@ def _gate_corpus():
 class TestIntegerGate:
     def test_accepts_what_the_fraction_gate_accepts(self):
         kinds = set()
-        for _, sys_, res in _gate_corpus():
+        for rng, sys_, res in _gate_corpus():
             if res.feasible:
                 assert verify_witness(sys_, res.witness)
                 assert _reference_verify_witness(sys_, res.witness)
@@ -534,6 +542,15 @@ class TestIntegerGate:
                 assert verify_certificate(sys_, res.certificate)
                 assert _reference_verify_certificate(sys_, res.certificate)
             kinds.add(res.feasible)
+            # the same row times k > 0 with its scale times k states the
+            # same system, so the answer must not change
+            i = rng.randrange(len(sys_.rows))
+            for k in (2, 7):
+                ints, scale = sys_.rows[i]
+                rows = list(sys_.rows)
+                rows[i] = (tuple(k * x for x in ints), k * scale)
+                rescaled = LinearSystem(sys_.num_vars, tuple(rows), sys_.nonneg, sys_.zero)
+                assert feasible(rescaled) == res
         assert kinds == {True, False}
 
     def test_perturbed_answers_get_the_fraction_gate_verdict(self):
@@ -562,6 +579,30 @@ class TestIntegerGate:
         assert not verify_witness(sys_, (F(0),))
 
 
+class TestRowFormat:
+    def test_row_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="row length"):
+            LinearSystem(2, (((1, 1), 1),), frozenset(), frozenset())
+        with pytest.raises(ValueError, match="row length"):
+            LinearSystem.build(2, eq_rows=[([1, 1, 1], 1)])
+
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_scale_must_be_positive(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            LinearSystem(1, (((1, 1), scale),), frozenset(), frozenset())
+
+    @pytest.mark.parametrize("nonneg, zero", [({2}, ()), ((), {-1})])
+    def test_index_out_of_range(self, nonneg, zero):
+        with pytest.raises(ValueError, match="out of range"):
+            LinearSystem(2, (((1, 1, 1), 1),), frozenset(nonneg), frozenset(zero))
+
+    def test_scale_divides_the_row(self):
+        # (2, 5) at scale 2 states x = 5/2
+        sys_ = LinearSystem(1, (((2, 5), 2),), frozenset(), frozenset())
+        assert feasible(sys_).witness == (F(5, 2),)
+        assert not verify_witness(sys_, (F(5),))
+
+
 class TestSharedIntegerRows:
     def test_face_systems_share_the_polytope_rows(self, receptor_ligand):
         from crnsiphon.geometry import InvariantPolytope
@@ -569,10 +610,9 @@ class TestSharedIntegerRows:
 
         p = InvariantPolytope.from_network(receptor_ligand, [F(1, 10), F(1, 10), 1, F(1, 3), 2])
         a, b = p.face_system((0, 1)), p.face_system((2,))
-        assert a.integer_rows is p.integer_rows is b.integer_rows
-        coeffs, rhs = a.all_rows()
-        assert [list(ints) for ints, _ in a.integer_rows] == [
-            integer_row(row + (r,))[0] for row, r in zip(coeffs, rhs)
+        assert a.rows is p.rows is b.rows
+        assert [(list(ints), s) for ints, s in a.rows] == [
+            integer_row(row + (r,)) for row, r in zip(p.matrix.entries, p.rhs)
         ]
 
     def test_gate_rejects_tampered_answers_on_shared_rows(self, receptor_ligand):
@@ -599,10 +639,12 @@ class TestSharedIntegerRows:
                     assert not verify_certificate(sys_, (F(0),) * len(y))
         assert kinds == {True, False}
 
-    def test_replace_derives_the_rows_again(self):
+    def test_replace_checks_the_new_rows(self):
         from dataclasses import replace
 
         sys_ = _simple(2, [([F(1, 2), F(1, 3)], F(1))], nonneg=[0, 1])
-        moved = replace(sys_, eq_rhs=(F(-1),))
-        assert moved.integer_rows == (((3, 2, -6), 6),)
+        assert sys_.rows == (((3, 2, 6), 6),)
+        moved = replace(sys_, rows=(((3, 2, -6), 6),))
         assert not feasible(moved).feasible
+        with pytest.raises(ValueError, match="scale"):
+            replace(sys_, rows=(((3, 2, -6), 0),))

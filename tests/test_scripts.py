@@ -1,7 +1,9 @@
-"""Smoke tests for the scripts under ``scripts/``."""
+"""Smoke tests for the scripts under ``scripts/`` and the benchmark's tracer."""
 
 from __future__ import annotations
 
+import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -9,6 +11,27 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_benchmark_counts_tableau_cells(tmp_path):
+    # the benchmark's tracer wraps the layers' public functions and reads
+    # LinearSystem fields, so a layer API change must keep it running
+    import crnsiphon.cli as cli
+    from conftest import RECEPTOR_LIGAND
+
+    spec = importlib.util.spec_from_file_location("crnbench_spans", ROOT / "crnbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    path = tmp_path / "receptor_ligand.crn"
+    path.write_text(RECEPTOR_LIGAND)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.run(["analyze", "--c0", "1,1,1,1,1", str(path)], out=io.StringIO())
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.per_op(1, 0.0)["lp.tableau_cells"] > 0
 
 
 def test_chamber_relevance_sweep_runs():
