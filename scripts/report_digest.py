@@ -144,8 +144,6 @@ def network_calls(name: str, text: str, rng: random.Random, files: dict[str, str
         ["facets", path],
         ["vertices", path, "--c0", ones],
         ["vertices", path, "--assign", assign],
-        ["relevance", path],
-        ["relevance", path, "--c0", start, "--omega", f"{name}.omega"],
         ["face-dim", path, "--c0", start, "--siphon", species[0]],
         ["face-dim", path, "--c0", ones, "--siphon", ""],
         ["analyze", path],
@@ -216,8 +214,8 @@ def error_calls(files: dict[str, str]) -> list:
         ["vertices", rl, "--assign", "A=1,B=2"],
         ["vertices", rl, "--assign", "A=1,B=1,C=1,D=1,E=1,Q=1"],
         ["vertices", rl, "--assign", "A=1e2,B=1,C=1,D=1,E=1"],
-        ["relevance", rl, "--omega", "bad.omega"],
-        ["relevance", rl, "--omega", "exp.omega"],
+        ["analyze", rl, "--omega", "bad.omega"],
+        ["analyze", rl, "--omega", "exp.omega"],
         ["ode", rl, "--kappa", "bad.kappa"],
         ["ode", rl, "--kappa", "exp.kappa"],
         ["analyze", rl, "--symmetry", "bad.sym"],

@@ -57,7 +57,6 @@ from crnsiphon.geometry import (
     InvariantPolytope,
     NotPointedError,
     build_cone,
-    chamber_signature,
     cone_facets,
     conservation_cone,
     face_dimension,
@@ -116,7 +115,6 @@ __all__ = [
     "build_cone",
     "build_rhs",
     "canonical_text",
-    "chamber_signature",
     "check_face_invariance",
     "check_steady_face",
     "cone_facets",

@@ -6,17 +6,17 @@ Subcommands::
     siphons           minimal siphons (list, count, histogram)
     facets            facets of the cone of conserved quantities
     vertices          vertex supports of the invariant polytope of --c0
-    relevance         per-siphon lines of the analyze report (global / --c0 / --omega)
     face-dim          dimension of the face x_Z = 0 for --c0 and --siphon
-    analyze           full report (text or JSON)
+    analyze           full report with every verdict (JSON, or text)
     ode               mass-action right-hand side for rates from --kappa
     invariance-check  certificate that the face of --siphon is forward invariant
     export-cas        Macaulay2 script for external cross-validation
 
-Exit codes: 0 success, 1 usage, 2 parse error, 3 budget exceeded,
-4 internal invariant violation.
+Exit codes: 0 success, 1 usage, 2 parse error, 3 budget exceeded
+(``siphons``), 4 internal invariant violation.
 
-Environment: ``SIPHON_BUDGET_MS`` default time budget for enumerations.
+Environment: ``SIPHON_BUDGET_MS`` default time budget for the siphon search
+only; ``analyze`` reports a cut-short search as ``exhaustive: false``.
 
 Exact values only: rationals are written like ``3``, ``-2`` or ``1/10``
 (ASCII digits, an optional sign, at most 4300 digits above and below the
@@ -39,12 +39,7 @@ from crnsiphon.casexport import FLAVORS, export_cas_script, monomial
 from crnsiphon.dynamics import MassActionSystem, build_rhs, check_face_invariance
 from crnsiphon.geometry import InvariantPolytope, NotPointedError, conservation_cone, face_dimension
 from crnsiphon.network import ParseError, ReactionNetwork, canonical_text, parse_network
-from crnsiphon.relevance import (
-    AnalysisReport,
-    RelevanceVerdict,
-    RouteDisagreementError,
-    analyze,
-)
+from crnsiphon.relevance import AnalysisReport, RouteDisagreementError, analyze
 from crnsiphon.siphons import Budget, BudgetExceededError, minimal_siphon_counts, minimal_siphons
 
 __all__ = ["main", "run"]
@@ -99,7 +94,7 @@ def _split_entries(text: str, where: str) -> list[str]:
 
 
 def _parse_c0(net: ReactionNetwork, args) -> tuple[Fraction, ...] | None:
-    if getattr(args, "assign", None):
+    if getattr(args, "assign", None) is not None:
         values: dict[str, Fraction] = {}
         for chunk in args.assign:
             for piece in chunk.split(","):
@@ -116,7 +111,7 @@ def _parse_c0(net: ReactionNetwork, args) -> tuple[Fraction, ...] | None:
         if missing:
             raise UsageError(f"--assign is missing species: {', '.join(missing)}")
         return tuple(values[n] for n in net.species.names)
-    if getattr(args, "c0", None):
+    if getattr(args, "c0", None) is not None:
         parts = _split_entries(args.c0, "--c0")
         if len(parts) != net.num_species:
             raise UsageError(
@@ -321,17 +316,6 @@ def _report_to_dict(report: AnalysisReport) -> dict:
     return result
 
 
-def _siphon_prefix(net: ReactionNetwork, verdict: RelevanceVerdict) -> str:
-    """``{A B E}: relevant`` plus the conservation law when there is one:
-    how a siphon's line starts in the text report and in ``relevance``."""
-    line = f"{{{' '.join(verdict.siphon.names(net))}}}: " + (
-        "relevant" if verdict.relevant else "not relevant"
-    )
-    if verdict.conservation_law is not None:
-        line += f" [conservation law: {' '.join(map(str, verdict.conservation_law))}]"
-    return line
-
-
 def _report_to_text(report: AnalysisReport) -> str:
     net = report.network
     conn = report.connectivity_info
@@ -350,7 +334,12 @@ def _report_to_text(report: AnalysisReport) -> str:
     label = "minimal siphons" if report.exhaustive else "minimal siphons (partial)"
     lines.append(f"{label}: {len(report.siphons)}")
     for a in report.siphons:
-        line = "  " + _siphon_prefix(net, a.verdict)
+        v = a.verdict
+        line = f"  {{{' '.join(v.siphon.names(net))}}}: " + (
+            "relevant" if v.relevant else "not relevant"
+        )
+        if v.conservation_law is not None:
+            line += f" [conservation law: {' '.join(map(str, v.conservation_law))}]"
         if a.c0_verdict is not None:
             line += f" [c0-relevant: {a.c0_verdict.relevant}"
             if a.face_dim is not None:
@@ -425,11 +414,6 @@ def build_arg_parser() -> _Parser:
     p = add("vertices", "vertex supports of the invariant polytope")
     add_start(p, "comma-separated rationals in species order", "name=value (repeatable)")
 
-    p = add("relevance", "per-siphon relevance verdicts")
-    add_start(p, "initial condition (comma-separated rationals)")
-    p.add_argument("--omega", help="file of sample initial conditions, one per line")
-    p.add_argument("--budget-ms", type=int, default=None)
-
     p = add("face-dim", "dimension of a face of the invariant polytope")
     add_start(p, "initial condition")
     p.add_argument("--siphon", help="comma-separated species names (may be empty)")
@@ -465,31 +449,6 @@ def _cmd_siphons(net: ReactionNetwork, args, out) -> int:
         return EXIT_OK
     for z in minimal_siphons(net, budget):
         print(" ".join(z.names(net)), file=out)
-    return EXIT_OK
-
-
-def _cmd_relevance(net: ReactionNetwork, args, out) -> int:
-    """One line per minimal siphon of the ``analyze`` report."""
-    report = analyze(
-        net,
-        c0=_parse_c0(net, args),
-        omega_samples=_read_samples(args.omega, net) if args.omega else None,
-        budget=_budget_from(args),
-    )
-    if not report.exhaustive:
-        raise BudgetExceededError(
-            "siphon enumeration did not finish", [a.verdict.siphon for a in report.siphons]
-        )
-    for a in report.siphons:
-        line = _siphon_prefix(net, a.verdict)
-        if a.c0_verdict is not None:
-            line += f" [c0-relevant: {a.c0_verdict.relevant}]"
-        if a.omega_hits is not None:
-            hit = bool(a.omega_hits)
-            line += f" [sample-relevant: {hit}" + (
-                f" via sample {a.omega_hits[0]}]" if hit else "]"
-            )
-        print(line, file=out)
     return EXIT_OK
 
 
@@ -529,9 +488,6 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
                 print(" ".join(net.species.names[i] for i in support), file=out)
             return EXIT_OK
 
-        if args.command == "relevance":
-            return _cmd_relevance(net, args, out)
-
         if args.command == "face-dim":
             c0 = _parse_c0(net, args)
             if c0 is None:
@@ -544,8 +500,8 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
 
         if args.command == "analyze":
             c0 = _parse_c0(net, args)
-            samples = _read_samples(args.omega, net) if args.omega else None
-            symmetry = _read_permutations(args.symmetry, net) if args.symmetry else None
+            samples = None if args.omega is None else _read_samples(args.omega, net)
+            symmetry = None if args.symmetry is None else _read_permutations(args.symmetry, net)
             report = analyze(
                 net,
                 c0=c0,

@@ -6,10 +6,10 @@ the columns of A.  Everything downstream is combinatorial data about that
 cone and about the polytopes ``{x >= 0 : A x = A c0}``:
 
 * facets of the cone, each carrying an exact inner normal;
-* vertex supports of an invariant polytope (its combinatorial type);
-* emptiness / dimension of faces ``{x in polytope : x_Z = 0}``;
-* a chamber signature: two positive initial conditions are in the same
-  chamber exactly when their polytopes have the same vertex supports.
+* vertex supports of an invariant polytope (its combinatorial type: two
+  positive starts lie in the same chamber exactly when their polytopes
+  have the same vertex supports);
+* emptiness / dimension of faces ``{x in polytope : x_Z = 0}``.
 
 Facets and vertices come from one exact double-description routine,
 :func:`_extreme_rays`, which lists the extreme rays of a cone
@@ -59,7 +59,6 @@ __all__ = [
     "vertex_supports",
     "face_nonempty",
     "face_dimension",
-    "chamber_signature",
 ]
 
 Vec = tuple[Fraction, ...]
@@ -306,8 +305,3 @@ def face_dimension(p: InvariantPolytope, zero_set: Iterable[int]) -> int | None:
     """Affine dimension of the face, or None when it is empty."""
     return affine_dim(p.face_system(zero_set))
 
-
-def chamber_signature(net: ReactionNetwork, c0: Sequence) -> tuple[tuple[int, ...], ...]:
-    """Vertex-support list of the invariant polytope; equal signatures mean
-    the two starts lie in the same chamber of the cone."""
-    return InvariantPolytope.from_network(net, c0).vertex_supports

@@ -202,7 +202,6 @@ class AnalysisReport:
     connectivity_info: ConnectivityInfo
     conservation: SubspaceBasis
     cone: ConeQ
-    facet_route_used: bool
     siphons: tuple[SiphonAnalysis, ...]
     exhaustive: bool
     all_non_relevant: bool
@@ -323,7 +322,6 @@ def analyze(
         exhaustive = False
     timings["siphons_ms"] = (time.monotonic() - t1) * 1000
 
-    facet_route_used = cone.pointed
     polytope = InvariantPolytope(basis.matrix, c0) if c0 is not None else None
     sample_polytopes = (
         [InvariantPolytope(basis.matrix, sm) for sm in omega_samples] if omega_samples else None
@@ -354,7 +352,7 @@ def analyze(
     def examine(z: Siphon) -> tuple[RelevanceVerdict, RelevanceVerdict | None]:
         verdict = _lp_verdict(net, z)
         facet_verdict = None
-        if facet_route_used:
+        if cone.pointed:
             facet_verdict = is_relevant_by_facets(net, z, cone)
             if facet_verdict.relevant != verdict.relevant:
                 raise RouteDisagreementError(
@@ -431,7 +429,6 @@ def analyze(
         connectivity_info=conn,
         conservation=basis,
         cone=cone,
-        facet_route_used=facet_route_used,
         siphons=analyses,
         exhaustive=exhaustive,
         all_non_relevant=all_non_relevant,

@@ -6,6 +6,7 @@ import io
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -158,9 +159,8 @@ class TestErrors:
             ["siphons", "--budget-ms", "-5"],
             ["siphons", "--count-only", "--max-results", "-1"],
             ["analyze", "--budget-ms", "-1"],
-            ["relevance", "--budget-ms", "-20"],
         ],
-        ids=["budget-ms", "max-results", "analyze-budget-ms", "relevance-budget-ms"],
+        ids=["budget-ms", "max-results", "analyze-budget-ms"],
     )
     def test_negative_budget_is_a_usage_error(self, receptor_file, argv):
         code, out, err = invoke(argv + [receptor_file])
@@ -185,13 +185,30 @@ class TestErrors:
         assert code == EXIT_USAGE
         assert "--c0" in err
 
-    @pytest.mark.parametrize("command", ["vertices", "relevance", "face-dim", "analyze"])
+    @pytest.mark.parametrize("command", ["vertices", "face-dim", "analyze"])
     def test_c0_and_assign_together(self, receptor_file, command):
         # two spellings of one start: naming both is a usage error, not an override
         argv = [command, "--c0", "1,1,1,1,1", "--assign", "A=1,B=1,C=1,D=1,E=1", receptor_file]
         code, out, err = invoke(argv + (["--siphon", "A,B,E"] if command == "face-dim" else []))
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: argument --assign: not allowed with argument --c0\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--c0", ""], "--c0: entry 1 of 1 is empty"),
+            (["vertices", "--c0", ""], "--c0: entry 1 of 1 is empty"),
+            (["face-dim", "--c0", ""], "--c0: entry 1 of 1 is empty"),
+            (["analyze", "--omega", ""], "No such file or directory: ''"),
+            (["analyze", "--symmetry", ""], "No such file or directory: ''"),
+        ],
+        ids=["analyze-c0", "vertices-c0", "face-dim-c0", "omega", "symmetry"],
+    )
+    def test_empty_value_is_a_usage_error(self, receptor_file, argv, message):
+        # an empty value is given, not absent: it must not fall back to no start or file
+        code, out, err = invoke(argv + [receptor_file])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and message in err
 
     def test_decimal_rejected(self, receptor_file):
         code, _, err = invoke(["vertices", "--c0", "0.1,1,1,1,1", receptor_file])
@@ -210,8 +227,11 @@ class TestErrors:
         assert "5 values" in err
 
     def test_unknown_subcommand(self, receptor_file):
-        code, _, _ = invoke(["frobnicate", receptor_file])
-        assert code == EXIT_USAGE
+        # `relevance` is gone: `analyze --format text` is the one view of the verdicts
+        for command in ("frobnicate", "relevance"):
+            code, out, err = invoke([command, receptor_file])
+            assert (code, out) == (EXIT_USAGE, "")
+            assert f"invalid choice: {command!r}" in err
 
 
 _GRAMMAR = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
@@ -354,6 +374,20 @@ class TestSharedParser:
         code, _, err = invoke(["vertices", "--c0", "1/10,1/10,1,1/10,1/10", receptor_file])
         assert code == EXIT_OK and err == ""
 
+    def test_docs_list_the_parser_subcommands(self):
+        import crnsiphon.cli as cli_module
+
+        (choices,) = [
+            set(a.choices) for a in build_arg_parser()._actions if a.dest == "command"
+        ]
+        doc = cli_module.__doc__.split("Subcommands::", 1)[1].split("Exit codes:", 1)[0]
+        in_doc = {line.split()[0] for line in doc.splitlines() if line.strip()}
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        in_readme = {m[1] for m in re.finditer(r"^crnsiphon ([a-z-]+)", block, re.M)}
+        assert in_doc == choices
+        assert in_readme == choices
+
     def test_version_twice(self, capsys):
         for _ in range(2):
             with pytest.raises(SystemExit) as exc:
@@ -396,103 +430,6 @@ class TestGeometryCommands:
         assert code == EXIT_OK and out.strip() == "3"
 
 
-class TestRelevanceCommand:
-    def test_global_verdicts(self, receptor_file):
-        code, out, _ = invoke(["relevance", receptor_file])
-        assert code == EXIT_OK
-        lines = out.splitlines()
-        assert any("{A B E}: relevant" in l for l in lines)
-        assert any("{C D E}: not relevant" in l and "0 0 1 1 1" in l for l in lines)
-
-    def test_omega_file(self, receptor_file, tmp_path):
-        omega = tmp_path / "omega.txt"
-        omega.write_text("# one start per line\n1/10,1/10,1,1/10,1/10\n1,1,1,1,1\n")
-        code, out, _ = invoke(["relevance", "--omega", str(omega), receptor_file])
-        assert code == EXIT_OK
-        assert "{A B E}: relevant [sample-relevant: True via sample 0]" in out
-        assert "{C D E}: not relevant" in out
-
-
-    def test_enumerated_siphons_are_not_rechecked(self, tmp_path, monkeypatch):
-        import crnsiphon.relevance as relevance_module
-        from conftest import grid_minors_network
-        from crnsiphon.network import canonical_text
-
-        calls = []
-        bases = []
-        real_is_siphon = relevance_module.is_siphon
-        real_basis = relevance_module.conservation_basis
-
-        def counted(net, members):
-            calls.append(tuple(members))
-            return real_is_siphon(net, members)
-
-        def counted_basis(net):
-            bases.append(net)
-            return real_basis(net)
-
-        monkeypatch.setattr(relevance_module, "is_siphon", counted)
-        monkeypatch.setattr(relevance_module, "conservation_basis", counted_basis)
-        path = tmp_path / "grid5.crn"
-        path.write_text(canonical_text(grid_minors_network(5)))
-        ones = ",".join(["1"] * 25)
-        omega = tmp_path / "omega.txt"
-        omega.write_text(",".join(["1"] * 12 + ["1/2"] + ["1"] * 12) + "\n" + ones + "\n")
-        code, out, _ = invoke(["relevance", "--c0", ones, "--omega", str(omega), str(path)])
-        assert code == EXIT_OK
-        assert len(out.splitlines()) == 28
-        assert out.count("[c0-relevant: True]") == 18
-        assert calls == [] and len(bases) == 1
-
-    def test_non_positive_sample_is_rejected(self, tmp_path):
-        # no siphon needs the second sample, which is checked all the same
-        net = tmp_path / "ab.crn"
-        net.write_text("A -> B\n")
-        omega = tmp_path / "omega.txt"
-        omega.write_text("1,1\n0,1\n")
-        code, out, err = invoke(["relevance", "--omega", str(omega), str(net)])
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "strictly positive" in err
-
-    def test_non_positive_start_is_rejected_without_siphons(self, tmp_path):
-        net = tmp_path / "inflow.crn"
-        net.write_text("0 <-> A\n")
-        assert invoke(["siphons", str(net)])[:2] == (EXIT_OK, "")
-        code, out, err = invoke(["relevance", "--c0", "0", str(net)])
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "strictly positive" in err
-
-    def test_facet_route_disagreement_exit_code(self, receptor_file, monkeypatch):
-        import crnsiphon.relevance as relevance_module
-
-        real = relevance_module.is_relevant_by_facets
-
-        def inverted(*args, **kwargs):
-            verdict = real(*args, **kwargs)
-            return relevance_module.RelevanceVerdict(
-                verdict.siphon, not verdict.relevant, verdict.route
-            )
-
-        monkeypatch.setattr(relevance_module, "is_relevant_by_facets", inverted)
-        code, out, err = invoke(["relevance", receptor_file])
-        assert code == EXIT_INTERNAL
-        assert out == ""
-        assert "internal invariant violation" in err
-
-    def test_budget_exit_code(self, tmp_path):
-        from conftest import chain_network
-        from crnsiphon.network import canonical_text
-
-        path = tmp_path / "chain40.crn"
-        path.write_text(canonical_text(chain_network(40)))
-        code, out, err = invoke(["relevance", "--budget-ms", "20", str(path)])
-        assert code == EXIT_BUDGET
-        assert out == ""
-        assert err.startswith("budget exceeded:")
-
-
 class TestAnalyzeCommand:
     def test_json_schema_and_round_trip(self, receptor_file):
         code, out, _ = invoke(["analyze", "--c0", "1,1,1,1,1", receptor_file])
@@ -530,6 +467,78 @@ class TestAnalyzeCommand:
         assert code == EXIT_OK
         assert "all non-relevant: True" in out
 
+    def test_text_global_verdicts(self, receptor_file):
+        code, out, _ = invoke(["analyze", "--format", "text", receptor_file])
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert "  {A B E}: relevant" in lines
+        assert "  {C D E}: not relevant [conservation law: 0 0 1 1 1]" in lines
+        assert "all non-relevant: False" in lines
+
+    def test_text_omega_file(self, receptor_file, tmp_path):
+        omega = tmp_path / "omega.txt"
+        omega.write_text("# one start per line\n1/10,1/10,1,1/10,1/10\n1,1,1,1,1\n")
+        code, out, _ = invoke(["analyze", "--format", "text", "--omega", str(omega), receptor_file])
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert "  {A B E}: relevant [sample hits: [0]]" in lines
+        assert "  {A C E}: relevant [sample hits: [1]]" in lines
+        assert "  {C D E}: not relevant [conservation law: 0 0 1 1 1] [sample hits: []]" in lines
+
+    def test_enumerated_siphons_are_not_rechecked(self, tmp_path, monkeypatch):
+        import crnsiphon.relevance as relevance_module
+        from conftest import grid_minors_network
+        from crnsiphon.network import canonical_text
+
+        calls = []
+        bases = []
+        real_is_siphon = relevance_module.is_siphon
+        real_basis = relevance_module.conservation_basis
+
+        def counted(net, members):
+            calls.append(tuple(members))
+            return real_is_siphon(net, members)
+
+        def counted_basis(net):
+            bases.append(net)
+            return real_basis(net)
+
+        monkeypatch.setattr(relevance_module, "is_siphon", counted)
+        monkeypatch.setattr(relevance_module, "conservation_basis", counted_basis)
+        path = tmp_path / "grid5.crn"
+        path.write_text(canonical_text(grid_minors_network(5)))
+        ones = ",".join(["1"] * 25)
+        omega = tmp_path / "omega.txt"
+        omega.write_text(",".join(["1"] * 12 + ["1/2"] + ["1"] * 12) + "\n" + ones + "\n")
+        code, out, _ = invoke(
+            ["analyze", "--format", "text", "--c0", ones, "--omega", str(omega), str(path)]
+        )
+        assert code == EXIT_OK
+        assert "minimal siphons: 28" in out.splitlines()
+        assert len([l for l in out.splitlines() if l.startswith("  {")]) == 28
+        assert out.count("[c0-relevant: True") == 18
+        assert calls == [] and len(bases) == 1
+
+    def test_non_positive_sample_is_rejected(self, tmp_path):
+        # no siphon needs the second sample, which is checked all the same
+        net = tmp_path / "ab.crn"
+        net.write_text("A -> B\n")
+        omega = tmp_path / "omega.txt"
+        omega.write_text("1,1\n0,1\n")
+        code, out, err = invoke(["analyze", "--format", "text", "--omega", str(omega), str(net)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "strictly positive" in err
+
+    def test_non_positive_start_is_rejected_without_siphons(self, tmp_path):
+        net = tmp_path / "inflow.crn"
+        net.write_text("0 <-> A\n")
+        assert invoke(["siphons", str(net)])[:2] == (EXIT_OK, "")
+        code, out, err = invoke(["analyze", "--format", "text", "--c0", "0", str(net)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "strictly positive" in err
+
     def test_deterministic_output(self, receptor_file):
         runs = {invoke(["analyze", "--c0", "1,1,1,1,1", receptor_file])[1] for _ in range(3)}
         assert len(runs) == 1
@@ -539,6 +548,24 @@ class TestAnalyzeCommand:
         assert json.loads(without)["timing"] is None
         _, with_timing, _ = invoke(["analyze", "--timing", receptor_file])
         assert json.loads(with_timing)["timing"] is not None
+
+    def test_facet_route_disagreement_exit_code(self, receptor_file, monkeypatch):
+        # the real cross-check inside analyze raises, not a stand-in for analyze
+        import crnsiphon.relevance as relevance_module
+
+        real = relevance_module.is_relevant_by_facets
+
+        def inverted(*args, **kwargs):
+            verdict = real(*args, **kwargs)
+            return relevance_module.RelevanceVerdict(
+                verdict.siphon, not verdict.relevant, verdict.route
+            )
+
+        monkeypatch.setattr(relevance_module, "is_relevant_by_facets", inverted)
+        code, out, err = invoke(["analyze", "--format", "text", receptor_file])
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert "internal invariant violation" in err
 
     def test_route_disagreement_exit_code(self, receptor_file, monkeypatch):
         import crnsiphon.cli as cli_module

@@ -21,7 +21,6 @@ from crnsiphon.geometry import (
     InvariantPolytope,
     NotPointedError,
     build_cone,
-    chamber_signature,
     cone_facets,
     face_dimension,
     face_nonempty,
@@ -308,9 +307,9 @@ class TestDoubleDescription:
                 value = dot(facet.normal, cone.matrix.column(i))
                 assert value == 0 if i in facet.members else value > 0
 
-    def test_grid5_chamber_signatures(self, grid5):
+    def test_grid5_chambers_by_vertex_supports(self, grid5):
         net = grid5
-        ones = chamber_signature(net, [1] * 25)
+        ones = InvariantPolytope.from_network(net, [1] * 25).vertex_supports
         # the vertices of the Birkhoff polytope B5: the 5x5 permutation matrices
         assert set(ones) == {
             tuple(sorted(net.species.index[f"c{i + 1}{j + 1}"] for i, j in enumerate(perm)))
@@ -320,7 +319,7 @@ class TestDoubleDescription:
         for center in (F(1, 2), F(3, 2)):
             c0 = [F(1)] * 25
             c0[net.species.index["c33"]] = center
-            assert chamber_signature(net, c0) != ones
+            assert InvariantPolytope.from_network(net, c0).vertex_supports != ones
 
 
 def _reference_rays(red, fix_sign=True):
@@ -542,28 +541,33 @@ class TestFaces:
 
 
 class TestChamberSignature:
+    """Two starts lie in one chamber exactly when their polytopes have the
+    same vertex supports."""
+
     def test_same_chamber_equal_signature(self, receptor_ligand):
         other = [F(1, 5), F(1, 10), F(2), F(1, 10), F(1, 10)]
-        assert chamber_signature(receptor_ligand, OMEGA1) == chamber_signature(
-            receptor_ligand, other
+        assert (
+            InvariantPolytope.from_network(receptor_ligand, OMEGA1).vertex_supports
+            == InvariantPolytope.from_network(receptor_ligand, other).vertex_supports
         )
 
     def test_different_chambers_differ(self, receptor_ligand):
-        assert chamber_signature(receptor_ligand, OMEGA23) != chamber_signature(
-            receptor_ligand, OMEGA2
+        assert (
+            InvariantPolytope.from_network(receptor_ligand, OMEGA23).vertex_supports
+            != InvariantPolytope.from_network(receptor_ligand, OMEGA2).vertex_supports
         )
 
     def test_one_chamber_for_segment(self, two_species):
         rng = random.Random(41)
-        base = chamber_signature(two_species, [1, 1])
+        base = InvariantPolytope.from_network(two_species, [1, 1]).vertex_supports
         for _ in range(10):
             c0 = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2)]
-            assert chamber_signature(two_species, c0) == base
+            assert InvariantPolytope.from_network(two_species, c0).vertex_supports == base
 
     def test_midpoint_stability(self, receptor_ligand):
         a = OMEGA1
         b = [F(1, 5), F(1, 10), F(2), F(1, 10), F(1, 10)]
         mid = [(x + y) / 2 for x, y in zip(a, b)]
-        sig = chamber_signature(receptor_ligand, a)
-        assert chamber_signature(receptor_ligand, b) == sig
-        assert chamber_signature(receptor_ligand, mid) == sig
+        sig = InvariantPolytope.from_network(receptor_ligand, a).vertex_supports
+        assert InvariantPolytope.from_network(receptor_ligand, b).vertex_supports == sig
+        assert InvariantPolytope.from_network(receptor_ligand, mid).vertex_supports == sig
