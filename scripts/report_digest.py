@@ -11,15 +11,17 @@ that a change leaves every report byte-identical is then one diff:
     python scripts/report_digest.py > after.txt
     diff before.txt after.txt
 
-The corpus: the three networks of the paper (receptor-ligand dimer,
-uncompetitive inhibitor, futile cycle), the adjacent-minors grids 3x3 to
-6x6 with their 8 rotations and reflections, the reversible chain on 44
-species, seeded random networks of at most 10 species, and calls that
-end in a usage, parse or budget error.  Each network is asked for every
-subcommand, with integer and rational starts, sample files and rates.
-``--quick`` keeps the paper networks, the 3x3 grid, 5 random networks
-and the error calls, and asks for the invariance certificate of one
-minimal siphon of each paper network.  ``--src`` imports ``crnsiphon``
+The corpus (3,342 calls): the three networks of the paper (receptor-ligand
+dimer, uncompetitive inhibitor, futile cycle), a rate-labelled
+receptor-ligand, the adjacent-minors grids 3x3 to 6x6 with their 8
+rotations and reflections, the reversible chain on 44 species, seeded
+random networks of at most 10 species, and calls that end in a usage,
+parse or budget error.  Each network is asked for every subcommand, with
+integer and rational starts, sample files and rates; the paper networks
+also for the undirected-binomial export.  ``--quick`` (182 calls) keeps
+the paper networks, the 3x3 grid, 5 random networks and the error calls,
+and asks for the invariance certificate of one minimal siphon of each
+paper network.  ``--src`` imports ``crnsiphon``
 from the given source directory instead of this checkout's.
 """
 
@@ -58,6 +60,17 @@ P + F <-> Y
 Y -> S0 + F
 """,
 }
+
+
+# receptor-ligand with rate labels on a reversible and an irreversible line
+LABELLED = """\
+species A, B, C, D, E
+2A + C <-> A + D ; k=bind
+A + D -> E ; k=fold
+E -> A + D
+E <-> B + C
+B + C <-> 2A + C
+"""
 
 
 def grid_text(n: int) -> str:
@@ -136,18 +149,18 @@ def network_calls(name: str, text: str, rng: random.Random, files: dict[str, str
     files[f"{name}.kappa"] = "".join(
         f"{i} {Fraction(rng.randint(1, 9), rng.randint(1, 3))}\n" for i in range(reactions)
     )
-    assign = ",".join(f"{n}={v}" for n, v in zip(species, start.split(",")))
     return [
         ["parse", path],
         ["siphons", path],
         ["siphons", path, "--count-only", "--histogram"],
         ["facets", path],
         ["vertices", path, "--c0", ones],
-        ["vertices", path, "--assign", assign],
+        ["vertices", path, "--c0", start],
         ["face-dim", path, "--c0", start, "--siphon", species[0]],
         ["face-dim", path, "--c0", ones, "--siphon", ""],
         ["analyze", path],
         ["analyze", path, "--c0", ones],
+        ["analyze", path, "--c0", start, "--omega", f"{name}.omega"],
         ["analyze", path, "--format", "text", "--c0", start, "--omega", f"{name}.omega"],
         ["ode", path, "--kappa", f"{name}.kappa"],
         ["invariance-check", path, "--siphon", species[-1]],
@@ -174,6 +187,7 @@ def grid_calls(n: int, rng: random.Random, files: dict[str, str]) -> list:
     calls = network_calls(name, text, rng, files)
     reduced = ",".join("1/2" if k == (n * n) // 2 else "1" for k in range(n * n))
     calls.append(["analyze", f"{name}.crn", "--c0", reduced, "--symmetry", f"{name}.sym"])
+    calls.append(["analyze", f"{name}.crn", "--format", "text", "--symmetry", f"{name}.sym"])
     return calls
 
 
@@ -211,9 +225,6 @@ def error_calls(files: dict[str, str]) -> list:
         ["parse", "bad.crn"],
         ["facets", "unpointed.crn"],
         ["vertices", rl],
-        ["vertices", rl, "--assign", "A=1,B=2"],
-        ["vertices", rl, "--assign", "A=1,B=1,C=1,D=1,E=1,Q=1"],
-        ["vertices", rl, "--assign", "A=1e2,B=1,C=1,D=1,E=1"],
         ["analyze", rl, "--omega", "bad.omega"],
         ["analyze", rl, "--omega", "exp.omega"],
         ["ode", rl, "--kappa", "bad.kappa"],
@@ -234,6 +245,9 @@ def corpus(quick: bool) -> tuple[list, dict[str, str]]:
     calls = []
     for name, text in PAPER.items():
         calls += network_calls(name, text, rng, files)
+        calls.append(["export-cas", f"{name}.crn", "--flavor", "undirected-binomial"])
+    files["labelled.crn"] = LABELLED
+    calls += [["parse", "labelled.crn"], ["analyze", "labelled.crn"]]
     if quick:
         # a minimal siphon of each paper network, so the quick corpus also
         # prints invariance certificates
@@ -261,7 +275,6 @@ def main() -> None:
     opts = parser.parse_args()
     src = Path(opts.src) if opts.src else Path(__file__).resolve().parent.parent / "src"
     sys.path.insert(0, str(src.resolve()))
-    os.environ.pop("SIPHON_BUDGET_MS", None)
     from crnsiphon.cli import run
 
     calls, files = corpus(opts.quick)

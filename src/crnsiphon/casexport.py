@@ -112,7 +112,7 @@ def export_cas_script(
 
     if include_boundary:
         cone = conservation_cone(net)
-        if cone.pointed and cone.facets:
+        if cone.facets:
             pieces = []
             for facet in cone.facets:
                 comp = facet.complement(cone.num_generators)

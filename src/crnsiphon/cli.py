@@ -13,14 +13,14 @@ Subcommands::
     export-cas        Macaulay2 script for external cross-validation
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 budget exceeded
-(``siphons``), 4 internal invariant violation.
-
-Environment: ``SIPHON_BUDGET_MS`` default time budget for the siphon search
-only; ``analyze`` reports a cut-short search as ``exhaustive: false``.
+(``siphons``; ``analyze`` reports a cut-short search as
+``exhaustive: false``), 4 internal invariant violation.
 
 Exact values only: rationals are written like ``3``, ``-2`` or ``1/10``
 (ASCII digits, an optional sign, at most 4300 digits above and below the
-bar); decimal points, exponents and every other spelling are rejected.
+bar), and integers (``--budget-ms``, ``--max-results``, rate-file reaction
+indices) like ``0`` or ``-2``; decimal points, exponents, ``_``, a ``+`` on
+an integer and every other spelling are rejected.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -61,6 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"-?([0-9]+)")
 _MAX_DIGITS = 4300  # CPython's default limit on int() of a string
 
 
@@ -83,6 +83,16 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}: {exc}") from None
 
 
+def _parse_int(text: str, what: str) -> int:
+    """``[-]digits`` in ASCII between blanks; anything else is a usage
+    error that reads ``{what} {text!r}``.  The digits are counted before
+    ``int()`` sees them."""
+    m = _INTEGER.fullmatch(text.strip())
+    if m is None or len(m[1]) > _MAX_DIGITS:
+        raise UsageError(f"{what} {text!r}")
+    return int(m[0])
+
+
 def _split_entries(text: str, where: str) -> list[str]:
     """The comma-separated entries of ``text``; an empty one, a leading or
     trailing comma included, is a usage error that names its position."""
@@ -93,33 +103,14 @@ def _split_entries(text: str, where: str) -> list[str]:
     return parts
 
 
-def _parse_c0(net: ReactionNetwork, args) -> tuple[Fraction, ...] | None:
-    if getattr(args, "assign", None) is not None:
-        values: dict[str, Fraction] = {}
-        for chunk in args.assign:
-            for piece in chunk.split(","):
-                if "=" not in piece:
-                    raise UsageError(f"--assign expects name=value, got {piece!r}")
-                name, raw = piece.split("=", 1)
-                name = name.strip()
-                if name not in net.species.index:
-                    raise UsageError(f"unknown species {name!r} in --assign")
-                if name in values:
-                    raise UsageError(f"species {name!r} assigned twice")
-                values[name] = _parse_fraction(raw)
-        missing = [n for n in net.species.names if n not in values]
-        if missing:
-            raise UsageError(f"--assign is missing species: {', '.join(missing)}")
-        return tuple(values[n] for n in net.species.names)
-    if getattr(args, "c0", None) is not None:
-        parts = _split_entries(args.c0, "--c0")
-        if len(parts) != net.num_species:
-            raise UsageError(
-                f"--c0 needs {net.num_species} values in species order "
-                f"({', '.join(net.species.names)}), got {len(parts)}"
-            )
-        return tuple(_parse_fraction(p) for p in parts)
-    return None
+def _parse_c0(net: ReactionNetwork, text: str) -> tuple[Fraction, ...]:
+    parts = _split_entries(text, "--c0")
+    if len(parts) != net.num_species:
+        raise UsageError(
+            f"--c0 needs {net.num_species} values in species order "
+            f"({', '.join(net.species.names)}), got {len(parts)}"
+        )
+    return tuple(_parse_fraction(p) for p in parts)
 
 
 def _read_text(path: str) -> str:
@@ -161,10 +152,7 @@ def _read_kappa(path: str, net: ReactionNetwork) -> tuple[Fraction, ...]:
         parts = line.split()
         if len(parts) != 2:
             raise UsageError(f"{path}:{line_no}: expected 'reaction_index rate'")
-        try:
-            idx = int(parts[0])
-        except ValueError:
-            raise UsageError(f"{path}:{line_no}: bad reaction index {parts[0]!r}") from None
+        idx = _parse_int(parts[0], f"{path}:{line_no}: bad reaction index")
         if not 0 <= idx < len(net.reactions):
             raise UsageError(f"{path}:{line_no}: reaction index {idx} out of range")
         if idx in rates:
@@ -204,20 +192,14 @@ def _parse_siphon(net: ReactionNetwork, text: str | None) -> tuple[int, ...]:
 
 
 def _budget_from(args) -> Budget | None:
-    max_ms = getattr(args, "budget_ms", None)
-    source = "--budget-ms"
-    if max_ms is None:
-        env = os.environ.get("SIPHON_BUDGET_MS")
-        if env:
-            source = "SIPHON_BUDGET_MS"
-            try:
-                max_ms = int(env)
-            except ValueError:
-                raise UsageError(f"SIPHON_BUDGET_MS must be an integer, got {env!r}") from None
-    max_results = getattr(args, "max_results", None)
-    for name, value in ((source, max_ms), ("--max-results", max_results)):
+    limits = []
+    for name in ("--budget-ms", "--max-results"):
+        text = getattr(args, name[2:].replace("-", "_"), None)
+        value = None if text is None else _parse_int(text, f"bad {name} value")
         if value is not None and value < 0:
             raise UsageError(f"{name} must not be negative, got {value}")
+        limits.append(value)
+    max_ms, max_results = limits
     if max_ms is None and max_results is None:
         return None
     return Budget(max_results=max_results, max_ms=max_ms)
@@ -247,8 +229,8 @@ def _report_to_dict(report: AnalysisReport) -> dict:
         entry: dict = {
             "members": list(a.verdict.siphon.names(net)),
             "relevant": a.verdict.relevant,
-            "route": a.verdict.route,
-            "cross_checked": a.verdict.cross_checked,
+            "route": "conservation_lp",
+            "cross_checked": report.cone.pointed,
             "witnesses": {},
         }
         if a.verdict.conservation_law is not None:
@@ -257,10 +239,9 @@ def _report_to_dict(report: AnalysisReport) -> dict:
             entry["witnesses"]["infeasibility_certificate"] = [
                 str(x) for x in a.verdict.certificate
             ]
-        if a.facet_verdict is not None and a.facet_verdict.facet is not None:
+        if a.facet is not None:
             entry["witnesses"]["facet_complement"] = [
-                net.species.names[i]
-                for i in a.facet_verdict.facet.complement(net.num_species)
+                net.species.names[i] for i in a.facet.complement(net.num_species)
             ]
         if a.c0_verdict is not None:
             entry["c0_relevant"] = a.c0_verdict.relevant
@@ -383,8 +364,8 @@ def build_arg_parser() -> _Parser:
     """The ``crnsiphon`` parser, built at the first call and then shared.
 
     Sharing is safe because parsing keeps no state in the parser: every
-    ``parse_args`` fills a fresh namespace (``--assign`` appends into that
-    namespace's list), and a usage error raises ``UsageError``.
+    ``parse_args`` fills a fresh namespace, and a usage error raises
+    ``UsageError``.
     """
     parser = _Parser(prog="crnsiphon", description="exact siphon analysis of reaction networks")
     parser.add_argument("--version", action="version", version=f"crnsiphon {__version__}")
@@ -400,30 +381,25 @@ def build_arg_parser() -> _Parser:
     p = add("siphons", "minimal siphons")
     p.add_argument("--count-only", action="store_true", help="print the total only")
     p.add_argument("--histogram", action="store_true", help="print total plus per-size counts")
-    p.add_argument("--budget-ms", type=int, default=None)
-    p.add_argument("--max-results", type=int, default=None)
+    p.add_argument("--budget-ms")
+    p.add_argument("--max-results")
 
     add("facets", "facets of the cone of conserved quantities")
 
-    def add_start(p, c0_help, assign_help=None):
-        # --c0 and --assign are two spellings of one start: naming both is a usage error
-        start = p.add_mutually_exclusive_group()
-        start.add_argument("--c0", help=c0_help)
-        start.add_argument("--assign", action="append", help=assign_help)
-
+    c0_help = "comma-separated rationals in species order"
     p = add("vertices", "vertex supports of the invariant polytope")
-    add_start(p, "comma-separated rationals in species order", "name=value (repeatable)")
+    p.add_argument("--c0", required=True, help=c0_help)
 
     p = add("face-dim", "dimension of a face of the invariant polytope")
-    add_start(p, "initial condition")
+    p.add_argument("--c0", required=True, help=c0_help)
     p.add_argument("--siphon", help="comma-separated species names (may be empty)")
 
     p = add("analyze", "full analysis report")
-    add_start(p, "initial condition")
+    p.add_argument("--c0", help=c0_help)
     p.add_argument("--omega", help="file of sample initial conditions")
     p.add_argument("--symmetry", help="file of species permutations, one per line")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--budget-ms", type=int, default=None)
+    p.add_argument("--budget-ms")
     p.add_argument("--timing", action="store_true", help="include wall-clock timings")
 
     p = add("ode", "mass-action right-hand side")
@@ -480,18 +456,14 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
             return EXIT_OK
 
         if args.command == "vertices":
-            c0 = _parse_c0(net, args)
-            if c0 is None:
-                raise UsageError("vertices requires --c0 or --assign")
+            c0 = _parse_c0(net, args.c0)
             polytope = InvariantPolytope.from_network(net, c0)
             for support in polytope.vertex_supports:
                 print(" ".join(net.species.names[i] for i in support), file=out)
             return EXIT_OK
 
         if args.command == "face-dim":
-            c0 = _parse_c0(net, args)
-            if c0 is None:
-                raise UsageError("face-dim requires --c0 or --assign")
+            c0 = _parse_c0(net, args.c0)
             members = _parse_siphon(net, args.siphon)
             polytope = InvariantPolytope.from_network(net, c0)
             dim = face_dimension(polytope, members)
@@ -499,7 +471,7 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
             return EXIT_OK
 
         if args.command == "analyze":
-            c0 = _parse_c0(net, args)
+            c0 = None if args.c0 is None else _parse_c0(net, args.c0)
             samples = None if args.omega is None else _read_samples(args.omega, net)
             symmetry = None if args.symmetry is None else _read_permutations(args.symmetry, net)
             report = analyze(

@@ -84,8 +84,11 @@ class Facet:
 @dataclass(frozen=True)
 class ConeQ:
     matrix: RationalMatrix  # rows: conservation basis; columns: generators a_i
-    pointed: bool
     facets: tuple[Facet, ...] | None  # None when not pointed
+
+    @property
+    def pointed(self) -> bool:
+        return self.facets is not None
 
     @property
     def dim(self) -> int:
@@ -94,10 +97,6 @@ class ConeQ:
     @property
     def num_generators(self) -> int:
         return self.matrix.cols
-
-    @property
-    def has_conservation_laws(self) -> bool:
-        return self.dim > 0
 
 
 def _zero_mask(ray: Sequence[int]) -> int:
@@ -182,10 +181,10 @@ def build_cone(basis: SubspaceBasis) -> ConeQ:
     a = basis.matrix
     d, s = a.rows, a.cols
     if d == 0:
-        return ConeQ(a, pointed=True, facets=())
+        return ConeQ(a, facets=())
     laws = _extreme_rays(nullspace_basis(a))
     if any(all(not z[i] for z in laws) for i in range(s)):
-        return ConeQ(a, pointed=False, facets=None)
+        return ConeQ(a, facets=None)
     # A^T has full column rank, so the first d rows of the RREF of
     # [A^T | laws] hold the normals, one column per law
     red = row_reduce(
@@ -198,7 +197,7 @@ def build_cone(basis: SubspaceBasis) -> ConeQ:
         normal, _ = red.scaled_column(d + j)
         members = tuple(i for i, x in enumerate(z) if not x)
         facets.append(Facet(members, normalize_integer_vector(normal, fix_sign=False)))
-    return ConeQ(a, pointed=True, facets=tuple(sorted(facets, key=lambda f: f.members)))
+    return ConeQ(a, facets=tuple(sorted(facets, key=lambda f: f.members)))
 
 
 def conservation_cone(net: ReactionNetwork) -> ConeQ:
@@ -297,8 +296,7 @@ def vertex_supports(p: InvariantPolytope) -> tuple[tuple[int, ...], ...]:
 def face_nonempty(p: InvariantPolytope, zero_set: Iterable[int]) -> Vec | None:
     """A point of the face with the given coordinates pinned to zero, or
     None when that face is empty."""
-    result = feasible(p.face_system(zero_set))
-    return result.witness if result.feasible else None
+    return feasible(p.face_system(zero_set)).witness
 
 
 def face_dimension(p: InvariantPolytope, zero_set: Iterable[int]) -> int | None:

@@ -121,13 +121,12 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    feasible: bool
     witness: Vec | None = None
     certificate: Vec | None = None  # one multiplier per row
 
     @property
-    def status(self) -> str:
-        return "Feasible" if self.feasible else "Infeasible"
+    def feasible(self) -> bool:
+        return self.witness is not None
 
 
 def verify_witness(system: LinearSystem, witness: Sequence[Fraction]) -> bool:
@@ -282,7 +281,7 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
         witness = tuple(Fraction(v, det) if v else _ZERO for v in x)
         if not verify_witness(system, witness):
             raise AssertionError("internal error: witness failed exact re-verification")
-        return FeasibilityResult(True, witness=witness)
+        return FeasibilityResult(witness=witness)
 
     # Multiplier of row i is 1 - (reduced cost of its original artificial),
     # and that reduced cost is scale_i * obj[k+i] / (big * det); the sign
@@ -295,7 +294,7 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
     cert = tuple(cert)
     if not verify_certificate(system, cert):
         raise AssertionError("internal error: certificate failed exact re-verification")
-    return FeasibilityResult(False, certificate=cert)
+    return FeasibilityResult(certificate=cert)
 
 
 def _bareiss_update(

@@ -218,8 +218,15 @@ class ConnectivityInfo:
 
     strong_components: tuple[tuple[int, ...], ...]
     linkage_classes: tuple[tuple[int, ...], ...]
-    is_strongly_connected: bool
-    components_strongly_connected: bool
+
+    @property
+    def is_strongly_connected(self) -> bool:
+        return len(self.strong_components) == 1
+
+    @property
+    def components_strongly_connected(self) -> bool:
+        # each linkage class is one strong component; strong components split them
+        return len(self.strong_components) == len(self.linkage_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +487,6 @@ def _complex_graph_connectivity(net: ReactionNetwork) -> ConnectivityInfo:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
 
-    comp_of = {}
-    for ci, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = ci
-
     visited = [False] * n
     linkage: list[list[int]] = []
     for root in range(n):
@@ -502,16 +504,9 @@ def _complex_graph_connectivity(net: ReactionNetwork) -> ConnectivityInfo:
                     queue.append(w)
         linkage.append(sorted(block))
 
-    strong = tuple(tuple(c) for c in sorted(components, key=lambda c: c[0]))
-    link = tuple(tuple(c) for c in sorted(linkage, key=lambda c: c[0]))
-    components_strong = all(
-        len({comp_of[v] for v in block}) == 1 for block in link
-    )
     return ConnectivityInfo(
-        strong_components=strong,
-        linkage_classes=link,
-        is_strongly_connected=len(strong) == 1,
-        components_strongly_connected=components_strong,
+        strong_components=tuple(tuple(c) for c in sorted(components, key=lambda c: c[0])),
+        linkage_classes=tuple(tuple(c) for c in sorted(linkage, key=lambda c: c[0])),
     )
 
 

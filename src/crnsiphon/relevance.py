@@ -34,7 +34,7 @@ singleton, and the same loop decides each siphon on its own.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -77,14 +77,14 @@ class RouteDisagreementError(RuntimeError):
 
 @dataclass(frozen=True)
 class RelevanceVerdict:
+    """A verdict and its proof; the proof field that is set tells the route."""
+
     siphon: Siphon
     relevant: bool
-    route: str  # "conservation_lp" | "facet" | "face_lp"
-    conservation_law: tuple[int, ...] | None = None  # non-relevant, conservation_lp route
-    certificate: Vec | None = None  # relevant, conservation_lp route
+    conservation_law: tuple[int, ...] | None = None  # non-relevant, conservation LP
+    certificate: Vec | None = None  # Farkas: relevant globally, or empty face at a start
     facet: Facet | None = None  # non-relevant, facet route
-    face_point: Vec | None = None  # relevant, face_lp route
-    cross_checked: bool = False
+    face_point: Vec | None = None  # relevant at a start, face LP
 
 
 def supported_conservation_system(net: ReactionNetwork, members: Iterable[int]) -> LinearSystem:
@@ -112,8 +112,8 @@ def _lp_verdict(net: ReactionNetwork, siphon: Siphon) -> RelevanceVerdict:
     result = feasible(supported_conservation_system(net, siphon.members))
     if result.feasible:
         law = normalize_integer_vector(result.witness)
-        return RelevanceVerdict(siphon, False, "conservation_lp", conservation_law=law)
-    return RelevanceVerdict(siphon, True, "conservation_lp", certificate=result.certificate)
+        return RelevanceVerdict(siphon, False, conservation_law=law)
+    return RelevanceVerdict(siphon, True, certificate=result.certificate)
 
 
 def is_relevant_by_facets(
@@ -126,8 +126,8 @@ def is_relevant_by_facets(
     members = set(siphon.members)
     for facet in cone_facets(cone):
         if set(facet.complement(cone.num_generators)) <= members:
-            return RelevanceVerdict(siphon, False, "facet", facet=facet)
-    return RelevanceVerdict(siphon, True, "facet")
+            return RelevanceVerdict(siphon, False, facet=facet)
+    return RelevanceVerdict(siphon, True)
 
 
 def _start_verdict(verdict: RelevanceVerdict, polytope: InvariantPolytope) -> RelevanceVerdict:
@@ -147,11 +147,11 @@ def _start_verdict(verdict: RelevanceVerdict, polytope: InvariantPolytope) -> Re
         c0 = polytope.integer_c0
         if sum(w * x for w, x in zip(law, c0) if w) <= 0:
             raise AssertionError("internal error: conservation law vanishes at the start")
-        return RelevanceVerdict(z, False, "conservation_lp", conservation_law=law)
+        return RelevanceVerdict(z, False, conservation_law=law)
     result = feasible(polytope.face_system(z.members))
     if result.feasible:
-        return RelevanceVerdict(z, True, "face_lp", face_point=result.witness)
-    return RelevanceVerdict(z, False, "face_lp", certificate=result.certificate)
+        return RelevanceVerdict(z, True, face_point=result.witness)
+    return RelevanceVerdict(z, False, certificate=result.certificate)
 
 
 def is_c0_relevant(net: ReactionNetwork, c0: Sequence, siphon: Siphon) -> RelevanceVerdict:
@@ -190,7 +190,7 @@ def relevant_minimal_siphons(
 @dataclass(frozen=True)
 class SiphonAnalysis:
     verdict: RelevanceVerdict
-    facet_verdict: RelevanceVerdict | None = None
+    facet: Facet | None = None  # the facet route's witness of non-relevance
     c0_verdict: RelevanceVerdict | None = None
     face_dim: int | None = None
     omega_hits: tuple[int, ...] | None = None  # witnessing sample indices
@@ -349,18 +349,17 @@ def analyze(
                 answers[i] = answer
         return answers
 
-    def examine(z: Siphon) -> tuple[RelevanceVerdict, RelevanceVerdict | None]:
+    def examine(z: Siphon) -> tuple[RelevanceVerdict, Facet | None]:
         verdict = _lp_verdict(net, z)
-        facet_verdict = None
-        if cone.pointed:
-            facet_verdict = is_relevant_by_facets(net, z, cone)
-            if facet_verdict.relevant != verdict.relevant:
-                raise RouteDisagreementError(
-                    f"relevance routes disagree on {z.names(net)}: "
-                    f"conservation_lp={verdict.relevant}, facet={facet_verdict.relevant}"
-                )
-            verdict = replace(verdict, cross_checked=True)
-        return verdict, facet_verdict
+        if not cone.pointed:
+            return verdict, None
+        by_facets = is_relevant_by_facets(net, z, cone)
+        if by_facets.relevant != verdict.relevant:
+            raise RouteDisagreementError(
+                f"relevance routes disagree on {z.names(net)}: "
+                f"conservation_lp={verdict.relevant}, facet={by_facets.relevant}"
+            )
+        return verdict, by_facets.facet
 
     t2 = time.monotonic()
     checked = [examine(z) for z in siphons]
@@ -389,8 +388,8 @@ def analyze(
         ]
         hits = [tuple(k for k, row in enumerate(by_sample) if row[i]) for i in range(len(siphons))]
     analyses = tuple(
-        SiphonAnalysis(verdict, facet_verdict, c0_verdict, dim, hit)
-        for (verdict, facet_verdict), c0_verdict, dim, hit in zip(checked, c0_verdicts, dims, hits)
+        SiphonAnalysis(verdict, facet, c0_verdict, dim, hit)
+        for (verdict, facet), c0_verdict, dim, hit in zip(checked, c0_verdicts, dims, hits)
     )
     timings["relevance_ms"] = (time.monotonic() - t2) * 1000
 

@@ -177,8 +177,11 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class TransversalTally:
-    total: int
     by_size: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def total(self) -> int:
+        return sum(self.by_size.values())
 
 
 def _edges_at(num_vertices: int, edge_vertex_masks: list[int]) -> list[int]:
@@ -481,7 +484,7 @@ def _shifted_sum(tallies: list[tuple[int, dict[int, int]]]) -> TransversalTally:
     for base, acc in tallies:
         for k, c in acc.items():
             by_size[base + k] = by_size.get(base + k, 0) + c
-    return TransversalTally(sum(by_size.values()), dict(sorted(by_size.items())))
+    return TransversalTally(dict(sorted(by_size.items())))
 
 
 def transversal_counts(h: Hypergraph, budget: Budget | None = None) -> TransversalTally:
@@ -643,8 +646,7 @@ def _finished(enumerate_: Callable[[], object], finish: Callable):
 
 
 def _tally(sizes: Iterable[int]) -> TransversalTally:
-    by_size = Counter(sizes)
-    return TransversalTally(sum(by_size.values()), dict(sorted(by_size.items())))
+    return TransversalTally(dict(sorted(Counter(sizes).items())))
 
 
 def _search_route(net: ReactionNetwork, budget: Budget | None, count: bool):
@@ -678,7 +680,7 @@ def _transversal_route(net: ReactionNetwork, budget: Budget | None, count: bool)
         return _by_size(singletons + [Siphon(tuple(sorted(t))) for t in found])
 
     if any(c.is_zero for c in net.complexes):
-        return finish(TransversalTally(0, {}) if count else [])
+        return finish(TransversalTally() if count else [])
     enumerate_ = transversal_counts if count else minimal_transversals
     return _finished(lambda: enumerate_(complex_support_hypergraph(net), budget), finish)
 
@@ -688,7 +690,7 @@ def _plus_singletons(tally: TransversalTally, n: int) -> TransversalTally:
         return tally
     by_size = dict(tally.by_size)
     by_size[1] = by_size.get(1, 0) + n
-    return TransversalTally(tally.total + n, dict(sorted(by_size.items())))
+    return TransversalTally(dict(sorted(by_size.items())))
 
 
 def _by_route(net: ReactionNetwork, budget: Budget | None, count: bool):

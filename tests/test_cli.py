@@ -168,13 +168,6 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and "must not be negative" in err
 
-    def test_negative_budget_from_the_environment(self, receptor_file, monkeypatch):
-        monkeypatch.setenv("SIPHON_BUDGET_MS", "-5")
-        code, out, err = invoke(["siphons", receptor_file])
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err == "error: SIPHON_BUDGET_MS must not be negative, got -5\n"
-
     def test_zero_budget_is_allowed(self, receptor_file):
         code, out, _ = invoke(["siphons", "--budget-ms", "0", "--max-results", "3", receptor_file])
         assert code == EXIT_OK
@@ -184,14 +177,6 @@ class TestErrors:
         code, _, err = invoke(["vertices", receptor_file])
         assert code == EXIT_USAGE
         assert "--c0" in err
-
-    @pytest.mark.parametrize("command", ["vertices", "face-dim", "analyze"])
-    def test_c0_and_assign_together(self, receptor_file, command):
-        # two spellings of one start: naming both is a usage error, not an override
-        argv = [command, "--c0", "1,1,1,1,1", "--assign", "A=1,B=1,C=1,D=1,E=1", receptor_file]
-        code, out, err = invoke(argv + (["--siphon", "A,B,E"] if command == "face-dim" else []))
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == "error: argument --assign: not allowed with argument --c0\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -263,7 +248,7 @@ def readers_dir(tmp_path_factory):
 
 
 class TestRationalReaders:
-    """``--c0``, ``--assign``, ``--omega`` and ``--kappa`` read exactly
+    """``--c0``, ``--omega`` and ``--kappa`` read exactly
     ``[+-]digits[/digits]``: every other text, exponents and over-long
     digit strings included, is a usage error, and no text raises."""
 
@@ -283,7 +268,6 @@ class TestRationalReaders:
         kappa.write_text(f"0 {text}\n1 1\n", encoding="utf-8")
         for argv, read in (
             (["analyze", f"--c0={text},1", net], lambda report: report["c0"][0]),
-            (["analyze", f"--assign=X={text},Y=1", net], lambda report: report["c0"][0]),
             (["analyze", "--omega", str(omega), net], lambda r: r["omega_samples"][0][0]),
             (["ode", "--kappa", str(kappa), net], None),
         ):
@@ -296,6 +280,24 @@ class TestRationalReaders:
             else:
                 kappa.write_text(f"0 {value}\n1 1\n")
                 assert invoke(argv) == (EXIT_OK, out, "")
+
+    @pytest.mark.parametrize(
+        "text, as_int", [("٠", 0), ("1_0", 10), ("+1", 1), ("1e1", 10)]
+    )
+    def test_integers_are_ascii_digits_only(self, tmp_path, receptor_file, text, as_int):
+        # the rates are complete if the first index reads as int(text) (float for 1e1),
+        # so only the integer grammar can reject the file
+        net = tmp_path / "chain.crn"
+        net.write_text("".join(f"X{i} -> X{i + 1}\n" for i in range(11)))
+        kappa = tmp_path / "rates.txt"
+        rest = "".join(f"{i} 1\n" for i in range(11) if i != as_int)
+        kappa.write_text(f"{text} 2\n{rest}", encoding="utf-8")
+        code, out, err = invoke(["ode", "--kappa", str(kappa), str(net)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {kappa}:1: bad reaction index {text!r}\n"
+        for option in ("--budget-ms", "--max-results"):
+            code, out, err = invoke(["siphons", option, text, receptor_file])
+            assert (code, out, err) == (EXIT_USAGE, "", f"error: bad {option} value {text!r}\n")
 
 
 class TestEmptyEntries:
@@ -359,17 +361,14 @@ class TestSharedParser:
 
     def test_calls_share_no_state(self, receptor_file):
         assert build_arg_parser() is build_arg_parser()
-        code, by_assign, _ = invoke(
-            ["vertices", "--assign", "A=1/10,B=1/10", "--assign", "C=1,D=1/10,E=1/10",
-             receptor_file]
-        )
-        assert code == EXIT_OK and by_assign
+        code, first, _ = invoke(["vertices", "--c0", "1/10,1/10,1,1/10,1/10", receptor_file])
+        assert code == EXIT_OK and first
         code, out, err = invoke(["vertices", receptor_file])
         assert code == EXIT_USAGE and out == ""
-        assert "requires --c0 or --assign" in err
-        code, by_vec, _ = invoke(["vertices", "--c0", "1/10,1/10,1,1/10,1/10", receptor_file])
-        assert code == EXIT_OK and by_vec == by_assign
-        code, _, err = invoke(["vertices", "--frobnicate", receptor_file])
+        assert err == "error: the following arguments are required: --c0\n"
+        code, again, _ = invoke(["vertices", "--c0", "1/10,1/10,1,1/10,1/10", receptor_file])
+        assert code == EXIT_OK and again == first
+        code, _, err = invoke(["vertices", "--c0", "1,1,1,1,1", "--frobnicate", receptor_file])
         assert code == EXIT_USAGE and "--frobnicate" in err
         code, _, err = invoke(["vertices", "--c0", "1/10,1/10,1,1/10,1/10", receptor_file])
         assert code == EXIT_OK and err == ""
@@ -409,13 +408,6 @@ class TestGeometryCommands:
         )
         assert code == EXIT_OK
         assert out.splitlines() == ["A C", "B C", "C D", "C E"]
-
-    def test_vertices_assign_form(self, receptor_file):
-        _, by_vec, _ = invoke(["vertices", "--c0", "1/10,1/10,1,1/10,1/10", receptor_file])
-        _, by_assign, _ = invoke(
-            ["vertices", "--assign", "A=1/10,B=1/10,C=1,D=1/10,E=1/10", receptor_file]
-        )
-        assert by_vec == by_assign
 
     def test_face_dim(self, receptor_file):
         code, out, _ = invoke(
@@ -557,9 +549,7 @@ class TestAnalyzeCommand:
 
         def inverted(*args, **kwargs):
             verdict = real(*args, **kwargs)
-            return relevance_module.RelevanceVerdict(
-                verdict.siphon, not verdict.relevant, verdict.route
-            )
+            return relevance_module.RelevanceVerdict(verdict.siphon, not verdict.relevant)
 
         monkeypatch.setattr(relevance_module, "is_relevant_by_facets", inverted)
         code, out, err = invoke(["analyze", "--format", "text", receptor_file])

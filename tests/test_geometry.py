@@ -180,7 +180,6 @@ class TestBuildCone:
         assert cone.dim == 0
         assert cone.pointed
         assert cone.facets == ()
-        assert not cone.has_conservation_laws
 
     def test_not_pointed_cone(self):
         net = parse_network("A + B <-> 0")

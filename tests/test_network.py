@@ -194,6 +194,42 @@ class TestConnectivity:
             blocks = [v for c in info.strong_components for v in c]
             assert sorted(blocks) == list(range(len(blocks)))
 
+    def test_derived_flags_match_a_per_linkage_class_reference(
+        self, receptor_ligand, enzyme_inhibitor, futile_cycle
+    ):
+        def reach(edges, start):
+            seen, todo = {start}, [start]
+            while todo:
+                v = todo.pop()
+                for w in edges.get(v, ()):
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            return seen
+
+        def each_class_strongly_connected(net, linkage_classes):
+            forward, backward = {}, {}
+            for r in net.reactions:
+                forward.setdefault(r.source, []).append(r.target)
+                backward.setdefault(r.target, []).append(r.source)
+            return all(
+                reach(forward, block[0]) >= set(block) and reach(backward, block[0]) >= set(block)
+                for block in linkage_classes
+            )
+
+        rng = random.Random(27)
+        nets = [receptor_ligand, enzyme_inhibitor, futile_cycle]
+        nets += [random_network(rng) for _ in range(300)]
+        seen = set()
+        for net in nets:
+            info = connectivity(net)
+            expected = each_class_strongly_connected(net, info.linkage_classes)
+            assert info.components_strongly_connected == expected
+            assert info.is_strongly_connected == (expected and len(info.linkage_classes) == 1)
+            seen.add(expected)
+        assert not connectivity(futile_cycle).components_strongly_connected
+        assert seen == {True, False}
+
     def test_reaction_order_does_not_matter(self, enzyme_inhibitor):
         net = enzyme_inhibitor
         reordered = ReactionNetwork(

@@ -103,7 +103,9 @@ class TestFacetRoute:
         with pytest.raises(NotPointedError):
             is_relevant_by_facets(net, siphons[0])
         verdict = is_relevant(net, siphons[0])
-        assert verdict.route == "conservation_lp"
+        assert verdict.facet is None and verdict.face_point is None
+        assert (verdict.conservation_law is None) == verdict.relevant
+        assert (verdict.certificate is None) != verdict.relevant
 
     def test_route_agreement(self, receptor_ligand, enzyme_inhibitor, futile_cycle):
         rng = random.Random(92)
@@ -230,7 +232,7 @@ class TestHelpersReportWhatAnalyzeReports:
             report = analyze(net, c0=c0, omega_samples=samples)
             for a in report.siphons:
                 z = a.verdict.siphon
-                assert is_relevant(net, z) == replace(a.verdict, cross_checked=False)
+                assert is_relevant(net, z) == a.verdict
                 assert is_c0_relevant(net, c0, z) == a.c0_verdict
                 hits = a.omega_hits
                 assert omega_relevant(net, samples, z) == (bool(hits), hits[0] if hits else None)
@@ -257,7 +259,7 @@ class TestAnalyze:
         for a in report.siphons:
             assert not a.verdict.relevant
             assert a.verdict.conservation_law is not None
-            assert a.verdict.cross_checked
+            assert a.facet is not None
 
     def test_receptor_ligand_with_start(self, receptor_ligand):
         report = analyze(receptor_ligand, c0=OMEGA23)
@@ -295,7 +297,7 @@ class TestAnalyze:
         report = analyze(grid5)
         assert report.cone.pointed
         assert len(report.siphons) == 28
-        assert all(a.verdict.cross_checked for a in report.siphons)
+        assert all((a.facet is None) == a.verdict.relevant for a in report.siphons)
         assert sum(a.verdict.relevant for a in report.siphons) == 18
 
     def test_per_network_work_runs_once(self, monkeypatch):
@@ -383,7 +385,7 @@ class TestAnalyze:
         for a in report.siphons:
             if not a.verdict.relevant:
                 law = a.c0_verdict.conservation_law
-                assert a.c0_verdict.route == "conservation_lp" and not a.c0_verdict.relevant
+                assert not a.c0_verdict.relevant and a.c0_verdict.certificate is None
                 assert law == a.verdict.conservation_law
                 assert sum(w * x for w, x in zip(law, ones)) > 0
         dims = [a.face_dim for a in report.siphons if a.c0_verdict.relevant]
@@ -399,11 +401,7 @@ class TestAnalyze:
 
         def inverted(net, z):
             verdict = real(net, z)
-            return type(verdict)(
-                siphon=verdict.siphon,
-                relevant=not verdict.relevant,
-                route=verdict.route,
-            )
+            return type(verdict)(siphon=verdict.siphon, relevant=not verdict.relevant)
 
         monkeypatch.setattr(relevance_module, "_lp_verdict", inverted)
         with pytest.raises(RouteDisagreementError):

@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_traced_benchmark_counts_tableau_cells(tmp_path):
     # the benchmark's tracer wraps the layers' public functions and reads
-    # LinearSystem fields, so a layer API change must keep it running
+    # LinearSystem fields, the tally's total, the cone's facets and the
+    # polytope's matrix, so a layer API change must keep it running
     import crnsiphon.cli as cli
     from conftest import RECEPTOR_LIGAND
 
@@ -24,14 +25,23 @@ def test_traced_benchmark_counts_tableau_cells(tmp_path):
     spec.loader.exec_module(spans)
     path = tmp_path / "receptor_ligand.crn"
     path.write_text(RECEPTOR_LIGAND)
+    calls = (
+        ["analyze", "--c0", "1,1,1,1,1"],
+        ["siphons", "--count-only", "--histogram"],  # strongly connected: the transversal count
+        ["vertices", "--c0", "1,1,1,1,1"],
+    )
     tracer = spans.Tracer()
     tracer.install()
     try:
-        code = cli.run(["analyze", "--c0", "1,1,1,1,1", str(path)], out=io.StringIO())
+        codes = [cli.run(argv + [str(path)], out=io.StringIO()) for argv in calls]
     finally:
         tracer.uninstall()
-    assert code == 0
-    assert tracer.per_op(1, 0.0)["lp.tableau_cells"] > 0
+    assert codes == [0, 0, 0]
+    metrics = tracer.per_op(1, 0.0)
+    assert metrics["lp.tableau_cells"] > 0
+    # three minimal siphons, listed by analyze and counted by siphons
+    assert metrics["siphons.results"] == 6
+    assert metrics["geometry.column_bases"] > 0
 
 
 def test_chamber_relevance_sweep_runs():
