@@ -11,17 +11,18 @@ that a change leaves every report byte-identical is then one diff:
     python scripts/report_digest.py > after.txt
     diff before.txt after.txt
 
-The corpus (3,342 calls): the three networks of the paper (receptor-ligand
+The corpus (3,343 calls): the three networks of the paper (receptor-ligand
 dimer, uncompetitive inhibitor, futile cycle), a rate-labelled
-receptor-ligand, the adjacent-minors grids 3x3 to 6x6 with their 8
-rotations and reflections, the reversible chain on 44 species, seeded
-random networks of at most 10 species, and calls that end in a usage,
-parse or budget error.  Each network is asked for every subcommand, with
-integer and rational starts, sample files and rates; the paper networks
-also for the undirected-binomial export.  ``--quick`` (182 calls) keeps
-the paper networks, the 3x3 grid, 5 random networks and the error calls,
-and asks for the invariance certificate of one minimal siphon of each
-paper network.  ``--src`` imports ``crnsiphon``
+receptor-ligand, a network whose cone is not pointed, the adjacent-minors
+grids 3x3 to 6x6 with their 8 rotations and reflections, the reversible
+chain on 44 species, seeded random networks of at most 10 species, and
+calls that end in a usage, parse or budget error.  Each network is asked
+for every subcommand, with integer and rational starts, sample files and
+rates; the paper networks also for the undirected-binomial export.
+``--quick`` (183 calls) keeps the paper networks, the rate-labelled and
+the unpointed network, the 3x3 grid, 5 random networks and the error
+calls, and asks for the invariance certificate of one minimal siphon of
+each paper network.  ``--src`` imports ``crnsiphon``
 from the given source directory instead of this checkout's.
 """
 
@@ -194,7 +195,6 @@ def grid_calls(n: int, rng: random.Random, files: dict[str, str]) -> list:
 def error_calls(files: dict[str, str]) -> list:
     """Calls that end in a usage (1), parse (2) or budget (3) error."""
     files["bad.crn"] = "species A, B\nA + -> B\n"
-    files["unpointed.crn"] = "A <-> B\nC -> 0\n"
     files["bad.omega"] = "1,2,3,4,5\n1,2\n"
     files["exp.omega"] = "1e1,1,1,1,1\n"
     files["bad.kappa"] = "0 1\n1\n"
@@ -223,7 +223,6 @@ def error_calls(files: dict[str, str]) -> list:
         [],
         ["analyze", "missing.crn"],
         ["parse", "bad.crn"],
-        ["facets", "unpointed.crn"],
         ["vertices", rl],
         ["analyze", rl, "--omega", "bad.omega"],
         ["analyze", rl, "--omega", "exp.omega"],
@@ -248,6 +247,9 @@ def corpus(quick: bool) -> tuple[list, dict[str, str]]:
         calls.append(["export-cas", f"{name}.crn", "--flavor", "undirected-binomial"])
     files["labelled.crn"] = LABELLED
     calls += [["parse", "labelled.crn"], ["analyze", "labelled.crn"]]
+    # a cone that is not pointed but has a facet: C is on no conservation law
+    files["unpointed.crn"] = "A <-> B\nC -> 0\n"
+    calls += [["facets", "unpointed.crn"], ["analyze", "unpointed.crn", "--format", "text"]]
     if quick:
         # a minimal siphon of each paper network, so the quick corpus also
         # prints invariance certificates

@@ -55,9 +55,7 @@ from crnsiphon.geometry import (
     ConeQ,
     Facet,
     InvariantPolytope,
-    NotPointedError,
     build_cone,
-    cone_facets,
     conservation_cone,
     face_dimension,
     face_nonempty,
@@ -99,7 +97,6 @@ __all__ = [
     "InvariantPolytope",
     "LinearSystem",
     "MassActionSystem",
-    "NotPointedError",
     "ParseError",
     "PolynomialVectorField",
     "RationalMatrix",
@@ -117,7 +114,6 @@ __all__ = [
     "canonical_text",
     "check_face_invariance",
     "check_steady_face",
-    "cone_facets",
     "connectivity",
     "conservation_basis",
     "conservation_cone",

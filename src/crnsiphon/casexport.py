@@ -15,9 +15,11 @@ supported:
 
 For the binomial flavors the product of all variables is adjoined before
 decomposing, restricting to the coordinate hyperplanes where siphons
-live.  When the cone of conserved quantities is pointed, the script also
+live.  When the cone of conserved quantities has facets, the script also
 builds the facet-complement ideal and saturates by it, which filters the
-decomposition down to the relevant siphons.
+decomposition down to the relevant siphons: a siphon's component lies in
+the variety of a facet complement exactly when that complement is inside
+the siphon, pointed cone or not.
 """
 
 from __future__ import annotations

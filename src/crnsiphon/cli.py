@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 from crnsiphon import __version__
 from crnsiphon.casexport import FLAVORS, export_cas_script, monomial
 from crnsiphon.dynamics import MassActionSystem, build_rhs, check_face_invariance
-from crnsiphon.geometry import InvariantPolytope, NotPointedError, conservation_cone, face_dimension
+from crnsiphon.geometry import InvariantPolytope, conservation_cone, face_dimension
 from crnsiphon.network import ParseError, ReactionNetwork, canonical_text, parse_network
 from crnsiphon.relevance import AnalysisReport, RouteDisagreementError, analyze
 from crnsiphon.siphons import Budget, BudgetExceededError, minimal_siphon_counts, minimal_siphons
@@ -211,9 +211,7 @@ def _report_to_dict(report: AnalysisReport) -> dict:
     cone_dict = {
         "dim": report.cone.dim,
         "pointed": report.cone.pointed,
-        "facets": None
-        if report.cone.facets is None
-        else [
+        "facets": [
             {
                 "members": [net.species.names[i] for i in f.members],
                 "complement": [
@@ -230,7 +228,7 @@ def _report_to_dict(report: AnalysisReport) -> dict:
             "members": list(a.verdict.siphon.names(net)),
             "relevant": a.verdict.relevant,
             "route": "conservation_lp",
-            "cross_checked": report.cone.pointed,
+            "cross_checked": True,
             "witnesses": {},
         }
         if a.verdict.conservation_law is not None:
@@ -308,10 +306,9 @@ def _report_to_text(report: AnalysisReport) -> str:
         f"conservation laws: {report.conservation.dim}",
         f"cone: dim {report.cone.dim}, pointed {report.cone.pointed}",
     ]
-    if report.cone.facets:
-        for f in report.cone.facets:
-            comp = " ".join(net.species.names[i] for i in f.complement(net.num_species))
-            lines.append(f"  facet complement: {comp}")
+    for f in report.cone.facets:
+        comp = " ".join(net.species.names[i] for i in f.complement(net.num_species))
+        lines.append(f"  facet complement: {comp}")
     label = "minimal siphons" if report.exhaustive else "minimal siphons (partial)"
     lines.append(f"{label}: {len(report.siphons)}")
     for a in report.siphons:
@@ -445,10 +442,7 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
             return _cmd_siphons(net, args, out)
 
         if args.command == "facets":
-            cone = conservation_cone(net)
-            if not cone.pointed:
-                raise NotPointedError("cone is not pointed; it has no facet description here")
-            for f in cone.facets or ():
+            for f in conservation_cone(net).facets:
                 members = " ".join(net.species.names[i] for i in f.members)
                 comp = " ".join(net.species.names[i] for i in f.complement(net.num_species))
                 normal = " ".join(map(str, f.normal))
@@ -519,7 +513,7 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
-    except (ValueError, NotPointedError) as exc:
+    except ValueError as exc:
         if isinstance(exc, ParseError):
             print(f"parse error: {exc}", file=err)
             return EXIT_PARSE

@@ -5,7 +5,8 @@ space), the attainable conserved quantities form the cone generated by
 the columns of A.  Everything downstream is combinatorial data about that
 cone and about the polytopes ``{x >= 0 : A x = A c0}``:
 
-* facets of the cone, each carrying an exact inner normal;
+* facets of the cone, each carrying an exact inner normal, for every
+  cone whether or not it is pointed;
 * vertex supports of an invariant polytope (its combinatorial type: two
   positive starts lie in the same chamber exactly when their polytopes
   have the same vertex supports);
@@ -52,21 +53,14 @@ __all__ = [
     "Facet",
     "ConeQ",
     "InvariantPolytope",
-    "NotPointedError",
     "build_cone",
     "conservation_cone",
-    "cone_facets",
     "vertex_supports",
     "face_nonempty",
     "face_dimension",
 ]
 
 Vec = tuple[Fraction, ...]
-
-
-class NotPointedError(RuntimeError):
-    """The cone has no strictly positive supporting functional; facet-based
-    relevance is unavailable (the conservation-law LP route still works)."""
 
 
 @dataclass(frozen=True)
@@ -84,11 +78,14 @@ class Facet:
 @dataclass(frozen=True)
 class ConeQ:
     matrix: RationalMatrix  # rows: conservation basis; columns: generators a_i
-    facets: tuple[Facet, ...] | None  # None when not pointed
+    facets: tuple[Facet, ...]
 
     @property
     def pointed(self) -> bool:
-        return self.facets is not None
+        """Every generator lies off some facet, so some functional is
+        positive on the cone minus 0; a zero-dimensional cone is pointed."""
+        on_all = set(range(self.num_generators)).intersection(*(f.members for f in self.facets))
+        return self.dim == 0 or not on_all
 
     @property
     def dim(self) -> int:
@@ -169,22 +166,21 @@ def _extreme_rays(e: RationalMatrix) -> list[tuple[int, ...]]:
 
 
 def build_cone(basis: SubspaceBasis) -> ConeQ:
-    """Cone generated by the columns of the basis matrix, with facets when
-    pointed.  A zero-dimensional cone (no conservation laws) is pointed and
-    facet-free.
+    """Cone generated by the columns of the basis matrix, with its facets.
+    A zero-dimensional cone (no conservation laws) is pointed and facet-free.
 
     The facets are read off the extreme non-negative conservation laws z:
     the generators on a facet are the zero set of z, and its normal v
-    solves ``A^T v = z``.  The cone is pointed exactly when the supports of
-    those laws cover every species.
+    solves ``A^T v = z``.  ``A`` has full row rank, so the cone is
+    full-dimensional and these are its facets whether or not it is
+    pointed; it is pointed exactly when the supports of those laws cover
+    every species, and it is all of R^d when there are none.
     """
     a = basis.matrix
     d, s = a.rows, a.cols
     if d == 0:
         return ConeQ(a, facets=())
     laws = _extreme_rays(nullspace_basis(a))
-    if any(all(not z[i] for z in laws) for i in range(s)):
-        return ConeQ(a, facets=None)
     # A^T has full column rank, so the first d rows of the RREF of
     # [A^T | laws] hold the normals, one column per law
     red = row_reduce(
@@ -204,15 +200,6 @@ def conservation_cone(net: ReactionNetwork) -> ConeQ:
     """:func:`build_cone` of the network's conservation basis, computed
     once per network."""
     return net._conservation_cone
-
-
-def cone_facets(cone: ConeQ) -> tuple[Facet, ...]:
-    if not cone.pointed:
-        raise NotPointedError(
-            "cone is not pointed; use the conservation-law LP route for relevance"
-        )
-    assert cone.facets is not None
-    return cone.facets
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,17 @@ that start positive.  Two independent decision routes are implemented:
   conservation law has its support inside Z.  This is one exact LP and is
   valid for every network; a feasible point is the witness, an infeasible
   one yields a Farkas certificate.
-* ``facet`` — when the cone of conserved quantities is pointed, Z is
-  non-relevant exactly when the complement of some cone facet is inside Z.
+* ``facet`` — Z is non-relevant exactly when the complement of some facet
+  of the cone of conserved quantities is inside Z.  The non-negative laws
+  lie in the orthant, so they form a pointed cone and each is a sum of
+  extreme laws with support inside its own.  Each facet is read off one
+  extreme law (its complement is the law's support), so this holds for
+  every network, whether or not the cone itself is pointed.
 
-The two routes must agree; :func:`analyze` cross-checks them and treats a
-disagreement as an internal error.  When no minimal siphon is relevant,
-the report carries a network-level certificate: no invariant polytope has
-a boundary steady state.
+The two routes must agree; :func:`analyze` cross-checks them on every
+minimal siphon and treats a disagreement as an internal error.  When no
+minimal siphon is relevant, the report carries a network-level
+certificate: no invariant polytope has a boundary steady state.
 
 Relevance for one positive start c0 (is the face ``x_Z = 0`` of the
 polytope of c0 non-empty?) has one rule, applied to the siphon's
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from crnsiphon.geometry import ConeQ, Facet, InvariantPolytope, cone_facets, conservation_cone
+from crnsiphon.geometry import ConeQ, Facet, InvariantPolytope, conservation_cone
 from crnsiphon.linalg import (
     SubspaceBasis,
     conservation_basis,
@@ -120,11 +124,11 @@ def is_relevant_by_facets(
     net: ReactionNetwork, siphon: Siphon, cone: ConeQ | None = None
 ) -> RelevanceVerdict:
     """Global relevance via cone facets: non-relevant exactly when some
-    facet complement is contained in the siphon.  Pointed cones only."""
+    facet complement is contained in the siphon.  Valid for every cone."""
     if cone is None:
         cone = conservation_cone(net)
     members = set(siphon.members)
-    for facet in cone_facets(cone):
+    for facet in cone.facets:
         if set(facet.complement(cone.num_generators)) <= members:
             return RelevanceVerdict(siphon, False, facet=facet)
     return RelevanceVerdict(siphon, True)
@@ -280,14 +284,13 @@ def analyze(
 ) -> AnalysisReport:
     """Run the full pipeline and assemble a report.
 
-    Every minimal siphon gets a conservation-LP verdict; when the cone is
-    pointed the facet route runs as a cross-check and a disagreement raises
-    :class:`RouteDisagreementError`.  With ``c0`` the per-start relevance
-    and face dimensions are added; with ``omega_samples`` the per-sample
-    pattern is added.  A globally non-relevant siphon is non-relevant at
-    every positive start: its law decides that without a face LP.  A
-    budget overrun degrades to a partial, non-exhaustive report instead of
-    failing.
+    Every minimal siphon gets a conservation-LP verdict, cross-checked by
+    the facet route; a disagreement raises :class:`RouteDisagreementError`.
+    With ``c0`` the per-start relevance and face dimensions are added; with
+    ``omega_samples`` the per-sample pattern is added.  A globally
+    non-relevant siphon is non-relevant at every positive start: its law
+    decides that without a face LP.  A budget overrun degrades to a
+    partial, non-exhaustive report instead of failing.
 
     ``symmetry`` lists species permutations (``perm[i]`` is the image of
     species i); each must be an automorphism of the network, or ValueError
@@ -351,8 +354,6 @@ def analyze(
 
     def examine(z: Siphon) -> tuple[RelevanceVerdict, Facet | None]:
         verdict = _lp_verdict(net, z)
-        if not cone.pointed:
-            return verdict, None
         by_facets = is_relevant_by_facets(net, z, cone)
         if by_facets.relevant != verdict.relevant:
             raise RouteDisagreementError(
@@ -411,10 +412,6 @@ def analyze(
         "complex-balancing rate conditions are not analyzed; verdicts here "
         "are structural and hold for every choice of positive rates"
     )
-    if not cone.pointed:
-        notes.append(
-            "cone of conserved quantities is not pointed; facet route disabled"
-        )
     if not exhaustive:
         notes.append("enumeration budget exceeded: siphon list is not exhaustive")
 

@@ -52,6 +52,15 @@ def futile_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def unpointed_file(tmp_path):
+    # A + B is conserved and C is on no law: a cone that is not pointed
+    # but has one facet
+    path = tmp_path / "unpointed.crn"
+    path.write_text("A <-> B\nC -> 0\n")
+    return str(path)
+
+
 class TestSiphonsCommand:
     def test_listing(self, receptor_file):
         code, out, _ = invoke(["siphons", receptor_file])
@@ -402,6 +411,13 @@ class TestGeometryCommands:
         assert "complement: C D E" in out
         assert "complement: A B D E" in out
 
+    def test_facets_of_a_cone_that_is_not_pointed(self, unpointed_file, tmp_path):
+        code, out, err = invoke(["facets", unpointed_file])
+        assert (code, out, err) == (EXIT_OK, "facet: C ; complement: A B ; normal: 1\n", "")
+        line = tmp_path / "line.crn"
+        line.write_text("A + B <-> 0\n")
+        assert invoke(["facets", str(line)]) == (EXIT_OK, "", "")
+
     def test_vertices_chamber_one(self, receptor_file):
         code, out, _ = invoke(
             ["vertices", "--c0", "1/10,1/10,1,1/10,1/10", receptor_file]
@@ -453,6 +469,21 @@ class TestAnalyzeCommand:
         for entry in doc["minimal_siphons"]:
             assert entry["relevant"] is False
             assert "conservation_law" in entry["witnesses"]
+
+    def test_cross_check_on_a_cone_that_is_not_pointed(self, unpointed_file):
+        code, out, _ = invoke(["analyze", unpointed_file])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["cone"]["pointed"] is False
+        assert [f["complement"] for f in doc["cone"]["facets"]] == [["A", "B"]]
+        siphons = {tuple(e["members"]): e for e in doc["minimal_siphons"]}
+        assert set(siphons) == {("C",), ("A", "B")}
+        assert all(e["cross_checked"] is True for e in siphons.values())
+        assert siphons[("C",)]["relevant"] is True
+        assert "facet_complement" not in siphons[("C",)]["witnesses"]
+        assert siphons[("A", "B")]["relevant"] is False
+        assert siphons[("A", "B")]["witnesses"]["facet_complement"] == ["A", "B"]
+        assert not any("facet route" in note for note in doc["notes"])
 
     def test_text_format(self, futile_file):
         code, out, _ = invoke(["analyze", "--format", "text", futile_file])
@@ -684,6 +715,13 @@ class TestExportCas:
         _, out, _ = invoke(["export-cas", receptor_file])
         assert "boundaryIdeal = intersect(ideal(C, D, E), ideal(A, B, D, E));" in out
         assert "saturate" in out
+
+    def test_boundary_block_on_a_cone_that_is_not_pointed(self, unpointed_file):
+        code, out, _ = invoke(["export-cas", unpointed_file])
+        assert code == EXIT_OK
+        assert "boundaryIdeal = ideal(A, B);" in out
+        target = "reactionIdeal + ideal product gens theRing"
+        assert f"decompose saturate({target}, boundaryIdeal)" in out
 
 
 class TestParseCommand:

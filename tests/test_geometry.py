@@ -19,9 +19,7 @@ from conftest import (
 )
 from crnsiphon.geometry import (
     InvariantPolytope,
-    NotPointedError,
     build_cone,
-    cone_facets,
     face_dimension,
     face_nonempty,
     vertex_supports,
@@ -108,7 +106,9 @@ def oracle_pointed(a):
 
 
 def oracle_facets(a):
-    """(members, primitive inner normal) of every facet of a pointed cone."""
+    """(members, primitive inner normal) of every facet of a full-dimensional
+    cone, pointed or not: a supporting hyperplane through d - 1 independent
+    generators."""
     d, s = a.rows, a.cols
     cols = [[int(x) for x in a.column(i)] for i in range(s)]
     found = {}
@@ -186,8 +186,18 @@ class TestBuildCone:
         cone = build_cone(conservation_basis(net))
         assert cone.dim == 1
         assert not cone.pointed
-        with pytest.raises(NotPointedError):
-            cone_facets(cone)
+        assert cone.facets == ()
+
+    def test_not_pointed_cone_with_a_facet(self):
+        # A + B is conserved and C is not in it: the generator of C is 0,
+        # so the half-line cone has C on its one facet and is not pointed
+        net = parse_network("A <-> B\nC -> 0")
+        cone = build_cone(conservation_basis(net))
+        assert cone.dim == 1
+        assert not cone.pointed
+        assert [(f.members, f.complement(3), f.normal) for f in cone.facets] == [
+            ((2,), (0, 1), (1,))
+        ]
 
     def test_triangle_cones(self, enzyme_inhibitor, futile_cycle):
         for net in (enzyme_inhibitor, futile_cycle):
@@ -267,11 +277,11 @@ class TestDoubleDescription:
         assert cone.pointed == oracle_pointed(basis.matrix)
         if basis.dim == 0:
             assert cone.facets == ()
-        elif cone.pointed:
-            assert [(f.members, f.normal) for f in cone.facets] == oracle_facets(basis.matrix)
-        else:
-            assert cone.facets is None
-        return "no laws" if basis.dim == 0 else "pointed" if cone.pointed else "not pointed"
+            return "no laws"
+        assert [(f.members, f.normal) for f in cone.facets] == oracle_facets(basis.matrix)
+        if cone.pointed:
+            return "pointed"
+        return "not pointed" if cone.facets else "not pointed, no facets"
 
     @staticmethod
     def check_vertices(net, c0):
@@ -328,15 +338,13 @@ def _reference_rays(red, fix_sign=True):
 def _reference_facets(basis):
     """Facets as ``build_cone`` found them on Fractions: the double
     description on the Fraction route's kernel vectors, and each normal
-    read off the Fraction RREF of ``[A^T | laws]``; None when not pointed."""
+    read off the Fraction RREF of ``[A^T | laws]``."""
     a = basis.matrix
     d, s = a.rows, a.cols
     if d == 0:
         return []
     kernel = RationalMatrix(tuple(reference_kernel_vectors(row_reduce(a))), s)
     laws = geometry_module._extreme_rays(kernel)
-    if any(all(not z[i] for z in laws) for i in range(s)):
-        return None
     rows = [[F(x) for x in a.column(i)] + [F(z[i]) for z in laws] for i in range(s)]
     red = row_reduce(RationalMatrix.from_rows(rows, cols=d + len(laws)))
     facets = []
@@ -377,12 +385,10 @@ class TestIntegerRouteMatchesFractionRoute:
             facets = _reference_facets(basis)
             supports = _reference_vertex_supports(p)
         cone = build_cone(basis)
-        assert cone.pointed == (facets is not None)
-        if cone.pointed:
-            assert [(f.members, f.normal) for f in cone.facets] == facets
+        assert [(f.members, f.normal) for f in cone.facets] == facets
         assert vertex_supports(p) == supports
         entries = [x for row in basis.matrix.entries for x in row]
-        entries += [x for f in cone.facets or () for x in f.normal]
+        entries += [x for f in cone.facets for x in f.normal]
         entries += [x for row in p.rows for x in row[0]]
         assert all(type(x) is int for x in entries)
         return "no laws" if basis.dim == 0 else "pointed" if cone.pointed else "not pointed"

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import RECEPTOR_LIGAND, grid_minors_network, grid_symmetries, random_network
-from crnsiphon.geometry import InvariantPolytope, NotPointedError, build_cone, face_dimension
+from crnsiphon.geometry import InvariantPolytope, build_cone, face_dimension
 from crnsiphon.linalg import conservation_basis, in_row_space
 from crnsiphon.lp import verify_certificate
 from crnsiphon.network import parse_network
@@ -94,32 +94,35 @@ class TestFacetRoute:
         net = enzyme_inhibitor
         assert not is_relevant_by_facets(net, Siphon.from_names(net, ["I", "R"])).relevant
 
-    def test_not_pointed_raises(self):
+    def test_full_line_cone_has_no_facets(self):
         # the net production A + B lies in the span of the reaction vectors,
-        # so the cone of conserved quantities is a full line
+        # so the cone of conserved quantities is a full line: no facet, and
+        # no non-negative law, so both routes call every siphon relevant
         net = parse_network("A + B -> C\nC -> 2A + 2B")
+        cone = build_cone(conservation_basis(net))
+        assert not cone.pointed and cone.dim == 1
+        assert cone.facets == ()
         siphons = minimal_siphons(net)
-        assert siphons, "expected at least one siphon"
-        with pytest.raises(NotPointedError):
-            is_relevant_by_facets(net, siphons[0])
-        verdict = is_relevant(net, siphons[0])
-        assert verdict.facet is None and verdict.face_point is None
-        assert (verdict.conservation_law is None) == verdict.relevant
-        assert (verdict.certificate is None) != verdict.relevant
+        assert [z.names(net) for z in siphons] == [("A", "C"), ("B", "C")]
+        for z in siphons:
+            by_facets = is_relevant_by_facets(net, z, cone)
+            assert by_facets.relevant and by_facets.facet is None
+            verdict = is_relevant(net, z)
+            assert verdict.relevant and verdict.certificate is not None
+            assert verdict.conservation_law is None and verdict.face_point is None
 
     def test_route_agreement(self, receptor_ligand, enzyme_inhibitor, futile_cycle):
         rng = random.Random(92)
         nets = [receptor_ligand, enzyme_inhibitor, futile_cycle]
         nets += [random_network(rng, max_species=6) for _ in range(30)]
+        unpointed_non_relevant = 0
         for net in nets:
             cone = build_cone(conservation_basis(net))
-            if not cone.pointed:
-                continue
             for z in minimal_siphons(net):
-                assert (
-                    is_relevant(net, z).relevant
-                    == is_relevant_by_facets(net, z, cone).relevant
-                )
+                relevant = is_relevant(net, z).relevant
+                assert relevant == is_relevant_by_facets(net, z, cone).relevant
+                unpointed_non_relevant += not (relevant or cone.pointed)
+        assert unpointed_non_relevant > 0
 
 
 class TestInitialConditionRoute:

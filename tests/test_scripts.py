@@ -15,8 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_traced_benchmark_counts_tableau_cells(tmp_path):
     # the benchmark's tracer wraps the layers' public functions and reads
-    # LinearSystem fields, the tally's total, the cone's facets and the
-    # polytope's matrix, so a layer API change must keep it running
+    # LinearSystem fields, the tally's total, the cone's pointedness and
+    # facets and the polytope's matrix, so a layer API change must keep it
+    # running; the second network's cone is not pointed
     import crnsiphon.cli as cli
     from conftest import RECEPTOR_LIGAND
 
@@ -25,22 +26,27 @@ def test_traced_benchmark_counts_tableau_cells(tmp_path):
     spec.loader.exec_module(spans)
     path = tmp_path / "receptor_ligand.crn"
     path.write_text(RECEPTOR_LIGAND)
+    unpointed = tmp_path / "unpointed.crn"
+    unpointed.write_text("A <-> B\nC -> 0\n")
     calls = (
-        ["analyze", "--c0", "1,1,1,1,1"],
-        ["siphons", "--count-only", "--histogram"],  # strongly connected: the transversal count
-        ["vertices", "--c0", "1,1,1,1,1"],
+        ["analyze", "--c0", "1,1,1,1,1", str(path)],
+        # strongly connected: the transversal count
+        ["siphons", "--count-only", "--histogram", str(path)],
+        ["vertices", "--c0", "1,1,1,1,1", str(path)],
+        ["analyze", str(unpointed)],
     )
     tracer = spans.Tracer()
     tracer.install()
     try:
-        codes = [cli.run(argv + [str(path)], out=io.StringIO()) for argv in calls]
+        codes = [cli.run(argv, out=io.StringIO()) for argv in calls]
     finally:
         tracer.uninstall()
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     metrics = tracer.per_op(1, 0.0)
     assert metrics["lp.tableau_cells"] > 0
-    # three minimal siphons, listed by analyze and counted by siphons
-    assert metrics["siphons.results"] == 6
+    # three minimal siphons of receptor-ligand, listed by analyze and
+    # counted by siphons, and the two of the unpointed network
+    assert metrics["siphons.results"] == 8
     assert metrics["geometry.column_bases"] > 0
 
 
