@@ -58,7 +58,6 @@ from crnsiphon.geometry import (
     build_cone,
     conservation_cone,
     face_dimension,
-    face_nonempty,
     vertex_supports,
 )
 from crnsiphon.relevance import (
@@ -66,11 +65,8 @@ from crnsiphon.relevance import (
     RelevanceVerdict,
     RouteDisagreementError,
     analyze,
-    is_c0_relevant,
     is_relevant,
     is_relevant_by_facets,
-    omega_relevant,
-    relevant_minimal_siphons,
 )
 from crnsiphon.dynamics import (
     MassActionSystem,
@@ -120,10 +116,8 @@ __all__ = [
     "eval_rhs",
     "export_cas_script",
     "face_dimension",
-    "face_nonempty",
     "feasible",
     "in_row_space",
-    "is_c0_relevant",
     "is_relevant",
     "is_relevant_by_facets",
     "is_siphon",
@@ -131,9 +125,7 @@ __all__ = [
     "minimal_siphons",
     "minimal_transversals",
     "nullspace_basis",
-    "omega_relevant",
     "parse_network",
-    "relevant_minimal_siphons",
     "row_reduce",
     "siphon_violation",
     "stoichiometric_generators",

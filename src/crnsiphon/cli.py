@@ -14,7 +14,8 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 budget exceeded
 (``siphons``; ``analyze`` reports a cut-short search as
-``exhaustive: false``), 4 internal invariant violation.
+``exhaustive: false``), 4 internal invariant violation (the two relevance
+routes disagree, or an exact re-check inside a kernel fails).
 
 Exact values only: rationals are written like ``3``, ``-2`` or ``1/10``
 (ASCII digits, an optional sign, at most 4300 digits above and below the
@@ -522,7 +523,7 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=err)
         return EXIT_BUDGET
-    except RouteDisagreementError as exc:
+    except (RouteDisagreementError, AssertionError) as exc:
         print(f"internal invariant violation: {exc}", file=err)
         return EXIT_INTERNAL
 

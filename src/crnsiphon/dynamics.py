@@ -52,14 +52,6 @@ class MassActionSystem:
         if any(k <= 0 for k in self.kappa):
             raise ValueError("rates must be positive")
 
-    @classmethod
-    def uniform(cls, net: ReactionNetwork, rate=1) -> "MassActionSystem":
-        return cls(net, tuple(Fraction(rate) for _ in net.reactions))
-
-    @classmethod
-    def from_rates(cls, net: ReactionNetwork, rates: Sequence) -> "MassActionSystem":
-        return cls(net, tuple(Fraction(r) for r in rates))
-
 
 @dataclass(frozen=True)
 class PolynomialVectorField:

@@ -21,11 +21,11 @@ side it gives and in the LP's face points.  The facets are the
 extreme non-negative conservation laws (the dual cone's extreme rays, the
 law's zero set naming the generators on the facet); the vertices are the
 extreme rays with ``t > 0`` of ``{(x, t) >= 0 : A x = t A c0}``.
-Whether a start lets a siphon's face be non-empty is a relevance question:
-ask :func:`crnsiphon.relevance.is_c0_relevant`, which decides it as
-``analyze`` does (by the siphon's conservation law when it has one, else
-by the face LP).  :func:`face_nonempty` is that bare face LP, for any zero
-set; it enumerates nothing.
+Whether a start lets a face be non-empty, and its dimension, has one
+door per question: :func:`crnsiphon.relevance.analyze` for the minimal
+siphons (by the siphon's conservation law when it has one, else by the
+face LP), and :func:`face_dimension` for any zero set (``None`` when the
+face is empty); neither enumerates vertices.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from crnsiphon.linalg import (
     nullspace_basis,
     row_reduce,
 )
-from crnsiphon.lp import LinearSystem, affine_dim, feasible
+from crnsiphon.lp import LinearSystem, affine_dim
 from crnsiphon.network import ReactionNetwork
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "build_cone",
     "conservation_cone",
     "vertex_supports",
-    "face_nonempty",
     "face_dimension",
 ]
 
@@ -278,12 +277,6 @@ def vertex_supports(p: InvariantPolytope) -> tuple[tuple[int, ...], ...]:
         tuple(i for i in range(s) if ray[i]) for ray in _extreme_rays(homogenized) if ray[s]
     }
     return tuple(sorted(supports, key=lambda sup: (len(sup), sup)))
-
-
-def face_nonempty(p: InvariantPolytope, zero_set: Iterable[int]) -> Vec | None:
-    """A point of the face with the given coordinates pinned to zero, or
-    None when that face is empty."""
-    return feasible(p.face_system(zero_set)).witness
 
 
 def face_dimension(p: InvariantPolytope, zero_set: Iterable[int]) -> int | None:

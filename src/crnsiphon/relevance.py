@@ -21,12 +21,12 @@ minimal siphon is relevant, the report carries a network-level
 certificate: no invariant polytope has a boundary steady state.
 
 Relevance for one positive start c0 (is the face ``x_Z = 0`` of the
-polytope of c0 non-empty?) has one rule, applied to the siphon's
-conservation-LP verdict: a non-relevant siphon's law shows the face empty
-at every positive start, and a relevant siphon's face is decided by the
-face LP.  :func:`analyze` (``c0`` and ``omega_samples``),
-:func:`is_c0_relevant` and :func:`omega_relevant` all use it, so they
-return the same verdicts with the same witnesses.
+polytope of c0 non-empty?) is answered by :func:`analyze` (``c0`` and
+``omega_samples``) for every minimal siphon, with one rule applied to the
+siphon's conservation-LP verdict: a non-relevant siphon's law shows the
+face empty at every positive start, and a relevant siphon's face is
+decided by the face LP.  For any other zero set, ask
+:func:`crnsiphon.geometry.face_dimension`.
 
 A declared symmetry must consist of automorphisms of the network.  A start
 fixed by some of them has the same answers on every siphon of an orbit
@@ -65,9 +65,6 @@ __all__ = [
     "supported_conservation_system",
     "is_relevant",
     "is_relevant_by_facets",
-    "is_c0_relevant",
-    "omega_relevant",
-    "relevant_minimal_siphons",
     "analyze",
     "orbit_partition",
 ]
@@ -136,8 +133,7 @@ def is_relevant_by_facets(
 
 def _start_verdict(verdict: RelevanceVerdict, polytope: InvariantPolytope) -> RelevanceVerdict:
     """Relevance of a siphon for one start, given its conservation-LP
-    verdict: the one rule behind :func:`analyze`, :func:`is_c0_relevant`
-    and :func:`omega_relevant`.
+    verdict: :func:`analyze`'s rule for ``c0`` and for each sample.
 
     A non-relevant siphon's law w >= 0 is conserved and supported inside
     Z, so ``w . x`` equals ``w . c0`` on the whole polytope and 0 on the
@@ -156,35 +152,6 @@ def _start_verdict(verdict: RelevanceVerdict, polytope: InvariantPolytope) -> Re
     if result.feasible:
         return RelevanceVerdict(z, True, face_point=result.witness)
     return RelevanceVerdict(z, False, certificate=result.certificate)
-
-
-def is_c0_relevant(net: ReactionNetwork, c0: Sequence, siphon: Siphon) -> RelevanceVerdict:
-    """Relevance for one initial condition: is the face x_Z = 0 of the
-    invariant polytope of c0 non-empty?  Decided, with the same witness,
-    as :func:`analyze` decides its ``c0_verdict``."""
-    return _start_verdict(is_relevant(net, siphon), InvariantPolytope.from_network(net, c0))
-
-
-def omega_relevant(
-    net: ReactionNetwork, samples: Sequence[Sequence], siphon: Siphon
-) -> tuple[bool, int | None]:
-    """OR of per-sample relevance; returns the index of the first witnessing
-    sample, or None.  The sampled starts stand in for a whole region.  As
-    in :func:`analyze`, every sample must be a positive start, also those
-    after the first witness."""
-    if not samples:
-        raise ValueError("at least one sample initial condition is required")
-    verdict = is_relevant(net, siphon)
-    matrix = conservation_basis(net).matrix
-    polytopes = [InvariantPolytope(matrix, c0) for c0 in samples]
-    hit = next((i for i, p in enumerate(polytopes) if _start_verdict(verdict, p).relevant), None)
-    return hit is not None, hit
-
-
-def relevant_minimal_siphons(
-    net: ReactionNetwork, budget: Budget | None = None
-) -> list[Siphon]:
-    return [z for z in minimal_siphons(net, budget) if _lp_verdict(net, z).relevant]
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,9 @@ from crnsiphon.linalg import RationalMatrix, conservation_basis, in_row_space
 from crnsiphon.lp import LinearSystem, feasible, verify_certificate, verify_witness
 from crnsiphon.relevance import (
     analyze,
-    is_c0_relevant,
     is_relevant,
     is_relevant_by_facets,
     orbit_partition,
-    relevant_minimal_siphons,
     supported_conservation_system,
 )
 from crnsiphon.siphons import (
@@ -117,7 +115,7 @@ def test_receptor_ligand_cone_and_relevance(receptor_ligand):
         }
         assert complements == {frozenset({"C", "D", "E"}), frozenset({"A", "B", "D", "E"})}
 
-        relevant = relevant_minimal_siphons(net)
+        relevant = [a.verdict.siphon for a in analyze(net).siphons if a.verdict.relevant]
         assert siphon_name_sets(net, relevant) == {
             frozenset({"A", "B", "E"}),
             frozenset({"A", "C", "E"}),
@@ -161,15 +159,14 @@ def test_receptor_ligand_chambers(receptor_ligand):
     with criterion("3 chamber vertex supports and per-chamber relevance"):
         start = time.monotonic()
         net = receptor_ligand
-        abe = Siphon.from_names(net, ["A", "B", "E"])
-        ace = Siphon.from_names(net, ["A", "C", "E"])
         for name, c0 in OMEGA_SAMPLES.items():
             p = InvariantPolytope.from_network(net, c0)
             got = {"".join(net.species.names[i] for i in s) for s in p.vertex_supports}
             assert got == EXPECTED_SUPPORTS[name], name
+            by_names = {a.verdict.siphon.names(net): a for a in analyze(net, c0=c0).siphons}
             abe_expected, ace_expected = EXPECTED_RELEVANCE[name]
-            assert is_c0_relevant(net, c0, abe).relevant == abe_expected, name
-            assert is_c0_relevant(net, c0, ace).relevant == ace_expected, name
+            assert by_names[("A", "B", "E")].c0_verdict.relevant == abe_expected, name
+            assert by_names[("A", "C", "E")].c0_verdict.relevant == ace_expected, name
         assert time.monotonic() - start < 5.0
 
 
@@ -231,6 +228,11 @@ def grid_data(grid5):
     siphons = minimal_siphons(grid5)
     relevant = [z for z in siphons if is_relevant(grid5, z).relevant]
     return grid5, siphons, relevant
+
+
+def c0_relevant(net, c0):
+    """The minimal siphons whose face is non-empty at the start c0."""
+    return [a.verdict.siphon for a in analyze(net, c0=c0).siphons if a.c0_verdict.relevant]
 
 
 def grid_start(net, center_delta=None):
@@ -297,8 +299,7 @@ def test_grid_birkhoff_start(grid_data):
         net, siphons, relevant = grid_data
         c0 = grid_start(net)
         p = InvariantPolytope.from_network(net, c0)
-        for z in relevant:
-            assert is_c0_relevant(net, c0, z).relevant
+        assert c0_relevant(net, c0) == relevant
         dims = [
             face_dimension(p, Siphon.from_names(net, names).members)
             for names in (GRID_Z1, GRID_Z2, GRID_Z3, GRID_Z4)
@@ -310,15 +311,14 @@ def test_grid_reduced_center_start(grid_data):
     with criterion("5e grid reduced-center start: all relevant siphons meet it"):
         net, siphons, relevant = grid_data
         d0 = grid_start(net, center_delta=F(-1, 2))
-        for z in relevant:
-            assert is_c0_relevant(net, d0, z).relevant
+        assert c0_relevant(net, d0) == relevant
 
 
 def test_grid_reference_reduced_center_face_dimension(grid_data):
     # Deliberately failing reference assertion: with the center entry
     # reduced, the face of the 10-element class has affine dimension 4 at
-    # every perturbation size in (0, 1) (10 free cells minus a rank-6
-    # system); the quoted value is 5.
+    # every perturbation size in (0, 1) (it pins 13 cells: 12 free cells
+    # minus a rank-8 system); the quoted value is 5.
     with criterion("5f grid reduced-center face dimension of the 10-element class equals 5"):
         net, _, _ = grid_data
         d0 = grid_start(net, center_delta=F(-1, 2))
@@ -333,7 +333,7 @@ def test_grid_enlarged_center_start(grid_data):
         net, siphons, relevant = grid_data
         e0 = grid_start(net, center_delta=F(1, 2))
         p = InvariantPolytope.from_network(net, e0)
-        hits = [z for z in relevant if is_c0_relevant(net, e0, z).relevant]
+        hits = c0_relevant(net, e0)
         z1 = Siphon.from_names(net, GRID_Z1)
         assert len(hits) == 2
         assert z1 in hits
@@ -341,17 +341,15 @@ def test_grid_enlarged_center_start(grid_data):
         assert all(face_dimension(p, z.members) == 0 for z in hits)
         # the non-minimal relevant sets are gone too
         z2 = Siphon.from_names(net, GRID_Z2)
-        assert not is_c0_relevant(net, e0, z2).relevant
+        assert face_dimension(p, z2.members) is None
 
 
 def test_grid_runtime_budget(grid_data):
     with criterion("5h grid analysis fits the ten-minute budget"):
         start = time.monotonic()
-        net, siphons, relevant = grid_data
+        net, _, _ = grid_data
         for delta in (None, F(-1, 2), F(1, 2)):
-            c0 = grid_start(net, delta)
-            for z in relevant[:6]:
-                is_c0_relevant(net, c0, z)
+            analyze(net, c0=grid_start(net, delta))
         assert time.monotonic() - start < 600.0
 
 

@@ -600,6 +600,19 @@ class TestAnalyzeCommand:
         assert code == EXIT_INTERNAL
         assert "internal invariant violation" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["analyze"], ["face-dim", "--c0", "1,1,1,1,1", "--siphon", "A,C,E"]]
+    )
+    def test_failed_exact_recheck_exit_code(self, receptor_file, monkeypatch, argv):
+        # a kernel's own re-verification gate fails: exit 4, not a traceback
+        import crnsiphon.lp as lp_module
+
+        monkeypatch.setattr(lp_module, "verify_witness", lambda system, witness: False)
+        code, out, err = invoke([*argv, receptor_file])
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("internal invariant violation: internal error: witness failed")
+
     def test_symmetry_orbits(self, tmp_path):
         from conftest import grid_minors_network
         from crnsiphon.network import canonical_text

@@ -21,7 +21,6 @@ from crnsiphon.geometry import (
     InvariantPolytope,
     build_cone,
     face_dimension,
-    face_nonempty,
     vertex_supports,
 )
 from crnsiphon.linalg import (
@@ -31,6 +30,7 @@ from crnsiphon.linalg import (
     dot,
     row_reduce,
 )
+from crnsiphon.lp import LinearSystem, feasible
 from crnsiphon.network import parse_network
 from crnsiphon.siphons import Siphon
 
@@ -93,8 +93,6 @@ def _primitive(v):
 
 def oracle_pointed(a):
     # some v with <v, a_i> >= 1 for every generator column a_i
-    from crnsiphon.lp import LinearSystem, feasible
-
     d, s = a.rows, a.cols
     if d == 0:
         return True
@@ -261,9 +259,8 @@ class TestVertexSupports:
             supports = vertex_supports(p)
             for _ in range(12):
                 z = frozenset(i for i in range(s) if rng.random() < 0.4)
-                witness = face_nonempty(p, z)
                 has_vertex = any(z.isdisjoint(sup) for sup in supports)
-                assert (witness is not None) == has_vertex
+                assert (face_dimension(p, z) is not None) == has_vertex
 
 
 class TestDoubleDescription:
@@ -410,7 +407,7 @@ class TestIntegerRouteMatchesFractionRoute:
 class TestFaces:
     def test_empty_zero_set_returns_start_compatible_point(self, receptor_ligand):
         p = InvariantPolytope.from_network(receptor_ligand, OMEGA1)
-        witness = face_nonempty(p, ())
+        witness = feasible(p.face_system(())).witness
         assert witness is not None
         assert p.matrix.matvec(witness) == p.rhs
 
@@ -425,8 +422,8 @@ class TestFaces:
         p = InvariantPolytope.from_network(net, OMEGA1)
         ace = Siphon.from_names(net, ["A", "C", "E"]).members
         abe = Siphon.from_names(net, ["A", "B", "E"]).members
-        assert face_nonempty(p, ace) is None
-        witness = face_nonempty(p, abe)
+        assert face_dimension(p, ace) is None
+        witness = feasible(p.face_system(abe)).witness
         assert witness is not None
         support = {i for i, x in enumerate(witness) if x > 0}
         assert support <= {net.species.index["C"], net.species.index["D"]}
@@ -491,7 +488,6 @@ class TestFaces:
         # same oracle as above, over random networks whose invariant
         # polytope is bounded (trivial recession cone), random zero sets
         from crnsiphon.linalg import row_reduce
-        from crnsiphon.lp import LinearSystem, feasible
 
         def polytope_is_bounded(p):
             n = p.num_species

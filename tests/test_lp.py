@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-import crnsiphon.geometry as geometry_module
 import crnsiphon.lp as lp_module
 import crnsiphon.relevance as relevance_module
 from conftest import random_network
@@ -416,7 +415,7 @@ class TestRationalKernel:
             solved.append((system, res))
             return res
 
-        for module in (lp_module, geometry_module, relevance_module):
+        for module in (lp_module, relevance_module):
             monkeypatch.setattr(module, "feasible", recorded)
         analyze(grid5, c0=ones, omega_samples=[reduced, enlarged])
         assert len(solved) == 132

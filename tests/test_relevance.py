@@ -11,17 +11,14 @@ import pytest
 from conftest import RECEPTOR_LIGAND, grid_minors_network, grid_symmetries, random_network
 from crnsiphon.geometry import InvariantPolytope, build_cone, face_dimension
 from crnsiphon.linalg import conservation_basis, in_row_space
-from crnsiphon.lp import verify_certificate
+from crnsiphon.lp import feasible, verify_certificate, verify_witness
 from crnsiphon.network import parse_network
 from crnsiphon.relevance import (
     RouteDisagreementError,
     analyze,
-    is_c0_relevant,
     is_relevant,
     is_relevant_by_facets,
-    omega_relevant,
     orbit_partition,
-    relevant_minimal_siphons,
     supported_conservation_system,
 )
 from crnsiphon.siphons import Siphon, minimal_siphons
@@ -125,11 +122,13 @@ class TestFacetRoute:
         assert unpointed_non_relevant > 0
 
 
+def _by_names(net, report):
+    return {a.verdict.siphon.names(net): a for a in report.siphons}
+
+
 class TestInitialConditionRoute:
     def test_chamber_pattern(self, receptor_ligand):
         net = receptor_ligand
-        abe = Siphon.from_names(net, ["A", "B", "E"])
-        ace = Siphon.from_names(net, ["A", "C", "E"])
         pattern = {
             "omega1": (OMEGA1, True, False),
             "omega12": (OMEGA12, True, True),
@@ -138,36 +137,35 @@ class TestInitialConditionRoute:
             "omega3": (OMEGA3, False, True),
         }
         for _, (c0, abe_expected, ace_expected) in pattern.items():
-            assert is_c0_relevant(net, c0, abe).relevant == abe_expected
-            assert is_c0_relevant(net, c0, ace).relevant == ace_expected
+            by_names = _by_names(net, analyze(net, c0=c0))
+            assert by_names[("A", "B", "E")].c0_verdict.relevant == abe_expected
+            assert by_names[("A", "C", "E")].c0_verdict.relevant == ace_expected
 
     def test_face_point_witness(self, receptor_ligand):
         net = receptor_ligand
-        verdict = is_c0_relevant(net, OMEGA1, Siphon.from_names(net, ["A", "B", "E"]))
+        verdict = _by_names(net, analyze(net, c0=OMEGA1))[("A", "B", "E")].c0_verdict
         assert verdict.relevant and verdict.face_point is not None
         for i in Siphon.from_names(net, ["A", "B", "E"]).members:
             assert verdict.face_point[i] == 0
 
     def test_positive_start_required(self, receptor_ligand):
-        z = Siphon.from_names(receptor_ligand, ["A", "B", "E"])
         with pytest.raises(ValueError, match="positive"):
-            is_c0_relevant(receptor_ligand, [1, 1, 0, 1, 1], z)
+            analyze(receptor_ligand, c0=[1, 1, 0, 1, 1])
 
     def test_sampled_relevance_implies_global(self):
         rng = random.Random(93)
         for _ in range(25):
             net = random_network(rng, max_species=6)
             s = net.num_species
-            for z in minimal_siphons(net):
-                globally = is_relevant(net, z).relevant
-                for _ in range(5):
-                    c0 = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(s)]
-                    if is_c0_relevant(net, c0, z).relevant:
-                        assert globally
+            for _ in range(5):
+                c0 = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(s)]
+                for a in analyze(net, c0=c0).siphons:
+                    if a.c0_verdict.relevant:
+                        assert a.verdict.relevant
 
     def test_subsiphon_inherits_c0_relevance(self):
-        # if Z ⊆ Z' are siphons and Z' is c0-relevant, the larger face of Z
-        # contains the Z' face, so Z is c0-relevant too
+        # if Z ⊆ Z' are siphons and the face of Z' is non-empty, each of its
+        # points lies in the larger face of Z, so that face is non-empty too
         rng = random.Random(94)
         for _ in range(30):
             net = random_network(rng, max_species=6)
@@ -182,74 +180,94 @@ class TestInitialConditionRoute:
             if len(siphons) < 2:
                 continue
             c0 = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(s)]
+            p = InvariantPolytope.from_network(net, c0)
             for _ in range(6):
                 a = rng.choice(siphons)
                 b = rng.choice(siphons)
-                if set(a) <= set(b) and is_c0_relevant(net, c0, Siphon(b)).relevant:
-                    assert is_c0_relevant(net, c0, Siphon(a)).relevant
+                if not set(a) <= set(b):
+                    continue
+                point = feasible(p.face_system(b)).witness
+                if point is not None:
+                    assert verify_witness(p.face_system(a), point)
+                    assert face_dimension(p, a) is not None
 
 
 class TestOmegaRelevance:
     def test_union_over_chambers(self, receptor_ligand):
         net = receptor_ligand
-        ace = Siphon.from_names(net, ["A", "C", "E"])
-        hit, idx = omega_relevant(net, [OMEGA1, OMEGA2, OMEGA3], ace)
-        assert hit and idx == 1
-        hit, idx = omega_relevant(net, [OMEGA1], ace)
-        assert not hit and idx is None
+        ace = ("A", "C", "E")
+        report = analyze(net, omega_samples=[OMEGA1, OMEGA2, OMEGA3])
+        assert _by_names(net, report)[ace].omega_hits == (1, 2)
+        report = analyze(net, omega_samples=[OMEGA1])
+        assert _by_names(net, report)[ace].omega_hits == ()
 
     def test_single_sample_equals_c0(self, receptor_ligand):
-        net = receptor_ligand
-        for z in minimal_siphons(net):
-            hit, _ = omega_relevant(net, [OMEGA23], z)
-            assert hit == is_c0_relevant(net, OMEGA23, z).relevant
-
-    def test_empty_samples_rejected(self, receptor_ligand):
-        z = minimal_siphons(receptor_ligand)[0]
-        with pytest.raises(ValueError):
-            omega_relevant(receptor_ligand, [], z)
+        report = analyze(receptor_ligand, c0=OMEGA23, omega_samples=[OMEGA23])
+        for a in report.siphons:
+            assert a.omega_hits == ((0,) if a.c0_verdict.relevant else ())
 
     def test_every_sample_must_be_positive(self):
         # sample 0 already witnesses {A}; the zero in sample 1 still counts
         net = parse_network("A -> B")
-        (a,) = minimal_siphons(net)
         with pytest.raises(ValueError, match="positive"):
-            omega_relevant(net, [[1, 1], [0, 1]], a)
+            analyze(net, omega_samples=[[1, 1], [0, 1]])
 
 
-class TestHelpersReportWhatAnalyzeReports:
-    def test_helpers_equal_report_fields(self, receptor_ligand, enzyme_inhibitor, futile_cycle):
+class TestStartVerdictsMatchTheFaceLP:
+    def test_report_fields_equal_face_dimension(
+        self, receptor_ligand, enzyme_inhibitor, futile_cycle
+    ):
+        # face_dimension runs the face LP for every siphon, also one that
+        # analyze decides by its conservation law, and never copies along
+        # a symmetry orbit
         rng = random.Random(95)
 
         def start(s):
             return [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(s)]
 
-        cases = [(receptor_ligand, OMEGA23, [OMEGA1, OMEGA2, OMEGA3])]
-        nets = [enzyme_inhibitor, futile_cycle, grid_minors_network(4)]
+        grid4 = grid_minors_network(4)
+        ones = [F(1)] * 16
+        cases = [
+            (receptor_ligand, OMEGA23, [OMEGA1, OMEGA2, OMEGA3], None),
+            (grid4, ones, [ones], grid_symmetries(grid4, 4)),
+        ]
+        nets = [enzyme_inhibitor, futile_cycle, grid4]
         nets += [random_network(rng, max_species=6) for _ in range(150)]
         for net in nets:
             s = net.num_species
-            cases.append((net, start(s), [start(s) for _ in range(3)]))
-        checked = 0
-        for net, c0, samples in cases:
-            report = analyze(net, c0=c0, omega_samples=samples)
+            cases.append((net, start(s), [start(s) for _ in range(3)], None))
+        checked = by_law = 0
+        for net, c0, samples, symmetry in cases:
+            report = analyze(net, c0=c0, omega_samples=samples, symmetry=symmetry)
+            p = InvariantPolytope.from_network(net, c0)
+            sample_polytopes = [InvariantPolytope.from_network(net, sm) for sm in samples]
             for a in report.siphons:
                 z = a.verdict.siphon
                 assert is_relevant(net, z) == a.verdict
-                assert is_c0_relevant(net, c0, z) == a.c0_verdict
-                hits = a.omega_hits
-                assert omega_relevant(net, samples, z) == (bool(hits), hits[0] if hits else None)
+                dim = face_dimension(p, z.members)
+                assert a.face_dim == dim
+                assert a.c0_verdict.relevant == (dim is not None)
+                hits = tuple(
+                    k for k, q in enumerate(sample_polytopes)
+                    if face_dimension(q, z.members) is not None
+                )
+                assert a.omega_hits == hits
                 checked += 1
-        assert checked > 350
+                by_law += a.verdict.conservation_law is not None
+        assert checked > 350 and by_law > 100
 
 
 class TestRelevantMinimalSiphons:
+    @staticmethod
+    def relevant(net):
+        return [a.verdict.siphon for a in analyze(net).siphons if a.verdict.relevant]
+
     def test_receptor_ligand(self, receptor_ligand):
-        got = [z.names(receptor_ligand) for z in relevant_minimal_siphons(receptor_ligand)]
+        got = [z.names(receptor_ligand) for z in self.relevant(receptor_ligand)]
         assert got == [("A", "B", "E"), ("A", "C", "E")]
 
     def test_enzyme_inhibitor_empty(self, enzyme_inhibitor):
-        assert relevant_minimal_siphons(enzyme_inhibitor) == []
+        assert self.relevant(enzyme_inhibitor) == []
 
 
 class TestAnalyze:
@@ -354,13 +372,10 @@ class TestAnalyze:
         net = parse_network(RECEPTOR_LIGAND)
         report = analyze(net, c0=OMEGA1)
         assert len(report.siphons) == 3 and calls == []
-        assert len(relevant_minimal_siphons(net)) == 2 and calls == []
         e = Siphon((net.species.index["E"],))
         with pytest.raises(ValueError, match="siphons only"):
             is_relevant(net, e)
-        with pytest.raises(ValueError, match="siphons only"):
-            is_c0_relevant(net, OMEGA1, e)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_c0_face_lp_solved_once_per_siphon(self, grid5, monkeypatch):
         import crnsiphon.lp as lp_module
@@ -513,7 +528,6 @@ class TestSymmetricStarts:
 
     @staticmethod
     def _count_lps(monkeypatch, net, **kwargs):
-        import crnsiphon.geometry as geometry_module
         import crnsiphon.lp as lp_module
         import crnsiphon.relevance as relevance_module
 
@@ -524,7 +538,7 @@ class TestSymmetricStarts:
             calls.append(system)
             return real(system)
 
-        for module in (lp_module, geometry_module, relevance_module):
+        for module in (lp_module, relevance_module):
             monkeypatch.setattr(module, "feasible", counted)
         analyze(net, **kwargs)
         return len(calls)
